@@ -1,5 +1,6 @@
 #include "analysis/chains.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
@@ -10,19 +11,28 @@ namespace tetra::analysis {
 ChainEnumeration enumerate_chains(const core::Dag& dag,
                                   std::size_t max_chains) {
   ChainEnumeration result;
-  Chain current;
+  Chain current;  // also the on-path set (paths are short)
   std::function<void(const std::string&)> dfs = [&](const std::string& key) {
     if (result.truncated) return;
     current.push_back(key);
     const auto outs = dag.out_edges(key);
-    if (outs.empty()) {
+    bool path_ends = outs.empty();
+    for (const auto* edge : outs) {
+      if (std::find(current.begin(), current.end(), edge->to) !=
+          current.end()) {
+        // A back edge: the graph is cyclic, and this path ends here.
+        result.cyclic = true;
+        path_ends = true;
+        continue;
+      }
+      dfs(edge->to);
+    }
+    if (path_ends) {
       if (result.chains.size() >= max_chains) {
         result.truncated = true;
       } else {
         result.chains.push_back(current);
       }
-    } else {
-      for (const auto* edge : outs) dfs(edge->to);
     }
     current.pop_back();
   };

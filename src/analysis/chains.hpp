@@ -4,7 +4,11 @@
 // exists precisely to keep these chains correct.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/dag.hpp"
@@ -18,14 +22,40 @@ using Chain = std::vector<std::string>;
 /// paths than `max_chains`, `chains` keeps the first `max_chains` found
 /// and `truncated` is set — callers that present results to a user should
 /// surface the flag (tetra_synth / tetra_predict print a warning).
+/// `cyclic` is set when some path met a back edge (an edge to a vertex
+/// already on the path): the graph is not a DAG, and the path up to the
+/// edge's tail is reported as a chain of its own.
+///
+/// Structured bindings unpack (chains, truncated), the fields from before
+/// `cyclic` existed.
 struct ChainEnumeration {
   std::vector<Chain> chains;
   bool truncated = false;
+  bool cyclic = false;
+
+  template <std::size_t I>
+  auto& get() & {
+    if constexpr (I == 0) {
+      return chains;
+    } else {
+      return truncated;
+    }
+  }
+  template <std::size_t I>
+  const auto& get() const& {
+    return const_cast<ChainEnumeration&>(*this).get<I>();
+  }
+  template <std::size_t I>
+  auto&& get() && {
+    return std::move(get<I>());
+  }
 };
 
 /// Enumerates all simple source->sink paths. `max_chains` guards against
 /// pathological graphs: enumeration stops there and the result is flagged
-/// as truncated instead of throwing.
+/// as truncated instead of throwing. A back edge ends its path (flagged
+/// as `cyclic`), so cyclic graphs, such as a merge of unrelated runs,
+/// terminate; on a DAG the output does not depend on the guard.
 ChainEnumeration enumerate_chains(const core::Dag& dag,
                                   std::size_t max_chains = 4096);
 
@@ -51,3 +81,12 @@ Duration chain_acet(const core::Dag& dag, const Chain& chain);
 std::string to_string(const Chain& chain);
 
 }  // namespace tetra::analysis
+
+template <>
+struct std::tuple_size<tetra::analysis::ChainEnumeration>
+    : std::integral_constant<std::size_t, 2> {};
+template <std::size_t I>
+struct std::tuple_element<I, tetra::analysis::ChainEnumeration> {
+  using type =
+      std::conditional_t<I == 0, std::vector<tetra::analysis::Chain>, bool>;
+};

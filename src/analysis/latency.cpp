@@ -3,20 +3,27 @@
 #include <algorithm>
 
 #include "core/exec_time.hpp"
+#include "trace/event_view.hpp"
 
 namespace tetra::analysis {
 
 const std::vector<TimePoint> InstanceTimeline::kNoWrites{};
 
 InstanceTimeline::InstanceTimeline(const trace::EventVector& events) {
-  trace::EventVector sorted = events;
-  trace::sort_by_time(sorted);
+  // Walk the events chronologically; only unsorted input is copied.
+  trace::EventVector sorted_copy;
+  const trace::EventVector* sorted = &events;
+  if (!trace::is_time_sorted(events)) {
+    sorted_copy = events;
+    trace::sort_by_time(sorted_copy);
+    sorted = &sorted_copy;
+  }
   consumers_.reserve(events.size() / 4);
 
   // Per-PID in-flight instance assembly, mirroring the single-threaded
   // executor assumption: one open instance per PID at a time.
   std::map<Pid, CallbackInstance> open;
-  for (const auto& event : sorted) {
+  for (const auto& event : *sorted) {
     switch (event.type) {
       case trace::EventType::CallbackStart: {
         CallbackInstance inst;

@@ -13,7 +13,6 @@
 #include "telemetry/span.hpp"
 #include "trace/event_view.hpp"
 #include "trace/serialize.hpp"
-#include "trace/ttb.hpp"
 
 namespace tetra::api {
 
@@ -61,6 +60,65 @@ core::ExtractOptions compensated_extract(const SynthesisConfig& config,
   return extract;
 }
 
+/// Extraction and DAG building over one fully appended index.
+core::TimingModel synthesize_index(const core::TraceIndex& index,
+                                   const SynthesisConfig& config) {
+  core::TimingModel model;
+  {
+    telemetry::ScopedSpan extract_span("synth.extract", index.size());
+    model.node_callbacks =
+        core::extract_all_nodes(index, compensated_extract(config, index));
+    // Multi-threaded executors yield one per-worker list each; unify them
+    // per node before labels are assigned.
+    core::merge_worker_lists(model.node_callbacks);
+    core::normalize_labels(model.node_callbacks);
+  }
+  {
+    telemetry::ScopedSpan build_span("synth.build",
+                                     model.node_callbacks.size());
+    model.dag =
+        core::build_dag(model.node_callbacks, config.core_options().dag);
+  }
+  return model;
+}
+
+/// Appends one queued segment (rows or a mapped .ttb) to `sink`, a
+/// TraceIndex or an IncrementalSynthesizer.
+template <typename Sink, typename Segment>
+void append_segment(Sink& sink, const Segment& segment) {
+  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
+    sink.append(file->view());
+  } else {
+    sink.append(std::get<trace::EventVector>(segment));
+  }
+}
+
+template <typename Segment>
+std::size_t segment_size(const Segment& segment) {
+  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
+    return file->size();
+  }
+  return std::get<trace::EventVector>(segment).size();
+}
+
+/// Decodes the rows of `view` onto the end of `out`.
+void append_decoded(trace::EventVector& out, const trace::ColumnsView& view) {
+  for (std::size_t i = 0; i < view.count; ++i) {
+    out.push_back(trace::materialize_event(view, i));
+  }
+}
+
+/// Appends the rows of one queued segment to `out`.
+template <typename Segment>
+void append_rows(trace::EventVector& out, const Segment& segment) {
+  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
+    append_decoded(out, file->view());
+  } else {
+    const auto& rows = std::get<trace::EventVector>(segment);
+    out.insert(out.end(), rows.begin(), rows.end());
+  }
+}
+
 }  // namespace
 
 SynthesisSession::TraceState& SynthesisSession::trace_for(
@@ -86,6 +144,29 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
 
 Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
                                              const IngestOptions& options) {
+  return add_segment(std::move(events), options, "events");
+}
+
+Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
+                                                  const IngestOptions& options) {
+  Segment segment;
+  try {
+    if (trace::is_ttb_file(path)) {
+      segment.emplace<trace::TtbReader>(path);
+    } else {
+      segment = trace::read_jsonl_file(path);
+    }
+  } catch (const std::exception& e) {
+    return make_error(ErrorCode::Io, e.what(), path);
+  }
+  IngestOptions resolved = options;
+  if (resolved.trace_id.empty()) resolved.trace_id = path;
+  return add_segment(std::move(segment), resolved, path);
+}
+
+Result<SegmentInfo> SynthesisSession::add_segment(Segment segment,
+                                                  const IngestOptions& options,
+                                                  std::string source) {
   TraceState& trace = trace_for(options);
   if (trace.sealed) {
     return make_error(ErrorCode::InvalidArgument,
@@ -107,50 +188,39 @@ Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
   info.id = segments_.size();
   info.trace_id = trace.id;
   info.mode = trace.mode;
-  info.source = "events";
-  info.event_count = events.size();
-  info.arrived_sorted = trace::is_time_sorted(events);
-  if (!info.arrived_sorted) trace::sort_by_time(events);
+  info.source = std::move(source);
+  if (auto* rows = std::get_if<trace::EventVector>(&segment)) {
+    info.event_count = rows->size();
+    info.arrived_sorted = trace::is_time_sorted(*rows);
+    if (!info.arrived_sorted) trace::sort_by_time(*rows);
+  } else {
+    const trace::ColumnsView& view = std::get<trace::TtbReader>(segment).view();
+    info.event_count = view.count;
+    info.arrived_sorted = trace::is_time_sorted(view);
+    if (!info.arrived_sorted) {
+      // Indexes append time-sorted segments only: decode and sort.
+      trace::EventVector rows = trace::materialize(view);
+      trace::sort_by_time(rows);
+      segment = std::move(rows);
+    }
+  }
 
-  event_count_ += events.size();
+  event_count_ += info.event_count;
   SessionMetrics::get().segments.inc();
-  SessionMetrics::get().events.add(events.size());
-  if (use_incremental()) {
-    // Events go straight into the trace's appendable index; no per-segment
-    // copy is retained.
-    if (!trace.inc) {
+  SessionMetrics::get().events.add(info.event_count);
+  if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
+    merged_pending_.emplace_back(trace_index_.at(trace.id), std::move(segment));
+  } else {
+    if (use_incremental() && !trace.inc) {
       trace.inc = std::make_unique<core::IncrementalSynthesizer>(
           config_.core_options());
     }
-    trace.inc->append(events);
-  } else {
-    segment_locator_.push_back(
-        {trace_index_.at(trace.id), trace.segments.size()});
-    trace.segments.push_back(std::move(events));
+    trace.pending.push_back(std::move(segment));
   }
   trace.dirty = true;
   merged_dirty_ = true;
   segments_.push_back(info);
   return info;
-}
-
-Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
-                                                  const IngestOptions& options) {
-  trace::EventVector events;
-  try {
-    events = trace::is_ttb_file(path) ? trace::TtbReader(path).materialize()
-                                      : trace::read_jsonl_file(path);
-  } catch (const std::exception& e) {
-    return make_error(ErrorCode::Io, e.what(), path);
-  }
-  IngestOptions resolved = options;
-  if (resolved.trace_id.empty()) resolved.trace_id = path;
-  Result<SegmentInfo> result = ingest(std::move(events), resolved);
-  if (result.ok()) {
-    segments_.back().source = path;
-    return segments_.back();
-  }
-  return result;
 }
 
 Result<SegmentInfo> SynthesisSession::ingest_database_segment(
@@ -184,45 +254,69 @@ Result<std::vector<SegmentInfo>> SynthesisSession::ingest_database(
   return infos;
 }
 
+void SynthesisSession::flush_merged() {
+  for (auto& [trace_pos, segment] : merged_pending_) {
+    const std::size_t first = merged_index_.size();
+    append_segment(merged_index_, segment);
+    traces_[trace_pos].merged_rows.emplace_back(first,
+                                                merged_index_.size() - first);
+  }
+  merged_pending_.clear();
+}
+
 void SynthesisSession::synthesize_trace(TraceState& trace,
-                                        const SynthesisConfig& config,
-                                        std::uint64_t span_parent) {
-  const core::SynthesisOptions& options = config.core_options();
+                                        std::uint64_t span_parent) const {
+  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
   if (trace.inc) {
-    telemetry::ScopedSpan span("synth.trace", span_parent,
-                               trace.inc->event_count());
     SessionMetrics::get().incremental.inc();
+    {
+      telemetry::ScopedSpan merge_span("synth.merge");
+      for (const Segment& segment : trace.pending) {
+        append_segment(*trace.inc, segment);
+      }
+      trace.pending.clear();
+      merge_span.set_items(trace.inc->event_count());
+    }
+    span.set_items(trace.inc->event_count());
     trace.model = trace.inc->model();
     trace.dirty = false;
     return;
   }
-  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
   SessionMetrics::get().full.inc();
-  // Appending the segments in ingestion order reproduces the k-way merged
-  // chronological stream (the index keeps (time, arrival) order).
-  core::TraceIndex index;
+  // Appending in ingestion order reproduces the k-way merged chronological
+  // stream (the index keeps (time, arrival) order). Mapped files are
+  // unmapped as the pending list is cleared.
+  core::TraceIndex sliced;  // MergeTraces: this trace's rows, re-appended
+  const core::TraceIndex* index = &trace.index;
   {
     telemetry::ScopedSpan merge_span("synth.merge");
-    for (const auto& segment : trace.segments) index.append(segment);
-    merge_span.set_items(index.size());
+    if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
+      const trace::ColumnsView all = merged_index_.view();
+      for (const auto& [first, count] : trace.merged_rows) {
+        sliced.append(all.slice(first, count));
+      }
+      index = &sliced;
+    } else {
+      std::size_t rows = 0;
+      for (const Segment& segment : trace.pending) {
+        rows += segment_size(segment);
+      }
+      trace.index.reserve(rows);
+      for (const Segment& segment : trace.pending) {
+        append_segment(trace.index, segment);
+      }
+      trace.pending.clear();
+      trace.index.restore_lookups();
+    }
+    merge_span.set_items(index->size());
   }
-  span.set_items(index.size());
-  core::TimingModel model;
-  {
-    telemetry::ScopedSpan extract_span("synth.extract", index.size());
-    model.node_callbacks =
-        core::extract_all_nodes(index, compensated_extract(config, index));
-    // Multi-threaded executors yield one per-worker list each; unify them
-    // per node before labels are assigned.
-    core::merge_worker_lists(model.node_callbacks);
-    core::normalize_labels(model.node_callbacks);
+  span.set_items(index->size());
+  trace.model = synthesize_index(*index, config_);
+  if (index == &trace.index) {
+    // Every query re-extracts the whole trace, so between queries only
+    // the columns are kept.
+    trace.index.release_lookups();
   }
-  {
-    telemetry::ScopedSpan build_span("synth.build",
-                                     model.node_callbacks.size());
-    model.dag = core::build_dag(model.node_callbacks, options.dag);
-  }
-  trace.model = std::move(model);
   trace.dirty = false;
 }
 
@@ -234,6 +328,8 @@ Error SynthesisSession::synthesize_dirty() {
   SessionMetrics::get().cache_hits.add(traces_.size() - dirty.size());
   if (dirty.empty()) return {};
   SessionMetrics::get().dirty_rebuilds.add(dirty.size());
+  // Pool workers only read the global index.
+  flush_merged();
 
   const std::size_t workers =
       std::min<std::size_t>(static_cast<std::size_t>(config_.threads()),
@@ -244,7 +340,7 @@ Error SynthesisSession::synthesize_dirty() {
   if (workers <= 1) {
     for (std::size_t i = 0; i < dirty.size(); ++i) {
       try {
-        synthesize_trace(*dirty[i], config_, span_parent);
+        synthesize_trace(*dirty[i], span_parent);
       } catch (const std::exception& e) {
         failures[i] = e.what();
       }
@@ -255,7 +351,7 @@ Error SynthesisSession::synthesize_dirty() {
       for (std::size_t i = next.fetch_add(1); i < dirty.size();
            i = next.fetch_add(1)) {
         try {
-          synthesize_trace(*dirty[i], config_, span_parent);
+          synthesize_trace(*dirty[i], span_parent);
         } catch (const std::exception& e) {
           failures[i] = e.what();
         } catch (...) {
@@ -289,34 +385,19 @@ Result<core::TimingModel> SynthesisSession::model() {
     if (merged_dirty_) {
       SessionMetrics::get().dirty_rebuilds.inc();
       SessionMetrics::get().full.inc();
-      // Global merge over every segment, in ingestion order (ties keep
-      // earlier-ingested segments first — the index's (time, arrival)
-      // invariant).
+      // Global merge: pending segments join the global index in ingestion
+      // order (ties keep earlier-ingested segments first — the index's
+      // (time, arrival) invariant).
       try {
         telemetry::ScopedSpan trace_span("synth.trace", event_count_);
-        core::TraceIndex index;
         {
           telemetry::ScopedSpan merge_span("synth.merge");
-          for (const auto& [trace_idx, seg_idx] : segment_locator_) {
-            index.append(traces_[trace_idx].segments[seg_idx]);
-          }
-          merge_span.set_items(index.size());
+          flush_merged();
+          merged_index_.restore_lookups();
+          merge_span.set_items(merged_index_.size());
         }
-        core::TimingModel model;
-        {
-          telemetry::ScopedSpan extract_span("synth.extract", index.size());
-          model.node_callbacks = core::extract_all_nodes(
-              index, compensated_extract(config_, index));
-          core::merge_worker_lists(model.node_callbacks);
-          core::normalize_labels(model.node_callbacks);
-        }
-        {
-          telemetry::ScopedSpan build_span("synth.build",
-                                           model.node_callbacks.size());
-          model.dag =
-              core::build_dag(model.node_callbacks, config_.core_options().dag);
-        }
-        merged_model_ = std::move(model);
+        merged_model_ = synthesize_index(merged_index_, config_);
+        merged_index_.release_lookups();
       } catch (const std::exception& e) {
         return make_error(ErrorCode::SynthesisFailed, e.what(),
                           "merged stream");
@@ -378,7 +459,8 @@ Result<core::TimingModel> SynthesisSession::trace_model(
   TraceState& trace = traces_[it->second];
   if (trace.dirty) {
     try {
-      synthesize_trace(trace, config_, telemetry::ScopedSpan::current_id());
+      flush_merged();
+      synthesize_trace(trace, telemetry::ScopedSpan::current_id());
     } catch (const std::exception& e) {
       return make_error(ErrorCode::SynthesisFailed, e.what(), trace_id);
     }
@@ -398,11 +480,25 @@ Result<trace::EventVector> SynthesisSession::merged_events(
     return make_error(ErrorCode::InvalidArgument,
                       "trace events were released", trace_id);
   }
-  if (trace.inc) return trace.inc->merged_events();
-  std::vector<const trace::EventVector*> parts;
-  parts.reserve(trace.segments.size());
-  for (const auto& segment : trace.segments) parts.push_back(&segment);
-  return trace::SortedEventView::merged(parts).to_vector();
+  trace::EventVector events;
+  if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
+    const trace::ColumnsView all = merged_index_.view();
+    for (const auto& [first, count] : trace.merged_rows) {
+      append_decoded(events, all.slice(first, count));
+    }
+    const std::size_t pos = it->second;
+    for (const auto& [trace_pos, segment] : merged_pending_) {
+      if (trace_pos == pos) append_rows(events, segment);
+    }
+  } else {
+    append_decoded(events, trace.inc ? trace.inc->index().view()
+                                     : trace.index.view());
+    for (const Segment& segment : trace.pending) append_rows(events, segment);
+  }
+  // Rows are in ingestion order; the stable sort restores the (time,
+  // ingestion order) merged order.
+  if (!trace::is_time_sorted(events)) trace::sort_by_time(events);
+  return events;
 }
 
 Result<std::size_t> SynthesisSession::release_events(
@@ -420,20 +516,16 @@ Result<std::size_t> SynthesisSession::release_events(
   TraceState& trace = traces_[it->second];
   if (trace.dirty) {
     try {
-      synthesize_trace(trace, config_, telemetry::ScopedSpan::current_id());
+      synthesize_trace(trace, telemetry::ScopedSpan::current_id());
     } catch (const std::exception& e) {
       return make_error(ErrorCode::SynthesisFailed, e.what(), trace_id);
     }
   }
-  std::size_t freed = 0;
-  if (trace.inc) {
-    freed = trace.inc->event_count();
-    trace.inc.reset();
-  } else {
-    for (const auto& segment : trace.segments) freed += segment.size();
-    trace.segments.clear();
-    trace.segments.shrink_to_fit();
-  }
+  // Synthesis drained `pending`; the index holds every event.
+  const std::size_t freed =
+      trace.inc ? trace.inc->event_count() : trace.index.size();
+  trace.inc.reset();
+  trace.index = core::TraceIndex();
   trace.sealed = true;
   return freed;
 }
@@ -449,9 +541,10 @@ void SynthesisSession::clear() {
   traces_.clear();
   trace_index_.clear();
   segments_.clear();
-  segment_locator_.clear();
   event_count_ = 0;
   auto_trace_counter_ = 0;
+  merged_pending_.clear();
+  merged_index_ = core::TraceIndex();
   merged_model_ = {};
   merged_dirty_ = true;
 }

@@ -12,12 +12,14 @@
 //   session.ingest(more_events, {.trace_id = "run-1"});
 //   model = session.model();                 // re-synthesizes ONLY run-1
 //
-// Segments ingested under one trace id are k-way merged into a single
-// sorted event view (no concatenate+re-sort, no per-call trace copy);
-// distinct trace ids are synthesized independently — in parallel on a
-// small worker pool when config.threads(N) > 1 — and combined per the
-// configured merge strategy. Results carry typed api::Error diagnostics
-// instead of bare exceptions.
+// Each trace id is stored as one appendable columnar core::TraceIndex.
+// Ingest only queues a segment: a .ttb file stays memory-mapped, rows are
+// sorted once. Synthesis — on a small worker pool when config.threads(N)
+// > 1 — appends the trace's queued segments to its index in ingestion
+// order (writing each event into the columns exactly once) and drops
+// them, then extracts. Distinct trace ids are synthesized independently
+// and combined per the configured merge strategy. Results carry typed
+// api::Error diagnostics instead of bare exceptions.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "api/config.hpp"
@@ -34,6 +38,7 @@
 #include "predict/model_simulator.hpp"
 #include "trace/database.hpp"
 #include "trace/event.hpp"
+#include "trace/ttb.hpp"
 
 namespace tetra::api {
 
@@ -54,13 +59,15 @@ class SynthesisSession {
   // -- ingestion ----------------------------------------------------------
 
   /// Adds one event segment. Unsorted segments are sorted on ingest (and
-  /// flagged in the returned SegmentInfo); synthesis is deferred until a
-  /// model query, so ingest cost is O(segment).
+  /// flagged in the returned SegmentInfo); synthesis, including the copy
+  /// into the trace's index, is deferred until a model query.
   Result<SegmentInfo> ingest(trace::EventVector events,
                              const IngestOptions& options = {});
 
-  /// Reads a trace file and ingests it — .ttb traces are detected by magic
-  /// and decoded from the binary columns, everything else parses as JSONL.
+  /// Reads a trace file and ingests it — .ttb traces are detected by magic,
+  /// opened and validated, and kept mapped until synthesis copies their
+  /// columns into the trace's index (a .ttb whose rows are not time-sorted
+  /// is decoded and sorted instead); everything else parses as JSONL.
   /// The default trace id is the path itself.
   Result<SegmentInfo> ingest_file(const std::string& path,
                                   const IngestOptions& options = {});
@@ -91,7 +98,9 @@ class SynthesisSession {
   /// The model of one logical trace (its segments k-way merged).
   Result<core::TimingModel> trace_model(const std::string& trace_id);
 
-  /// The chronologically merged event stream of one trace (a copy).
+  /// The chronologically merged event stream of one trace: decoded from
+  /// the trace's columns (and any still-queued segments), stably sorted
+  /// by time, so ties keep ingestion order.
   Result<trace::EventVector> merged_events(const std::string& trace_id) const;
 
   /// Replays the session's combined model (predict::ModelSimulator) and
@@ -102,7 +111,7 @@ class SynthesisSession {
   Result<predict::PredictionResult> predict(
       const predict::PredictionConfig& config = {});
 
-  /// Frees the stored event segments of one trace while keeping its cached
+  /// Frees the stored events (index) of one trace while keeping its cached
   /// model, so long-lived sessions over heavy trace volume stay bounded in
   /// memory (MergeDags only — MergeTraces needs every event for the global
   /// merge). Synthesizes the trace first if it is still dirty. The trace
@@ -124,13 +133,25 @@ class SynthesisSession {
   void clear();
 
  private:
+  /// One ingested segment not yet copied into an index: time-sorted rows,
+  /// or a mapped .ttb file whose rows are time-sorted.
+  using Segment = std::variant<trace::EventVector, trace::TtbReader>;
+
   struct TraceState {
     std::string id;
     std::string mode;
-    std::vector<trace::EventVector> segments;  ///< each time-sorted
+    /// Segments awaiting synthesis, in ingestion order (under MergeTraces
+    /// they wait in merged_pending_ instead).
+    std::vector<Segment> pending;
+    /// Every synthesized segment, appended in ingestion order (MergeDags).
+    /// Its lookups are released between queries; the columns stay.
+    core::TraceIndex index;
     /// Set under config.incremental(): owns the appendable index and the
-    /// per-node dependency cache; `segments` stays empty then.
+    /// per-node dependency cache; `index` stays empty then.
     std::unique_ptr<core::IncrementalSynthesizer> inc;
+    /// MergeTraces: (first row, row count) of each of this trace's
+    /// segments in merged_index_.
+    std::vector<std::pair<std::size_t, std::size_t>> merged_rows;
     core::TimingModel model;                   ///< cache, valid when !dirty
     bool dirty = true;
     bool sealed = false;  ///< events released; model cached, no re-ingest
@@ -144,27 +165,38 @@ class SynthesisSession {
            config_.merge_strategy() == MergeStrategy::MergeDags &&
            !config_.compensate_overhead();
   }
+  /// Validates the target trace, fills in the diagnostics and queues the
+  /// segment; `segment` may still be unsorted.
+  Result<SegmentInfo> add_segment(Segment segment,
+                                  const IngestOptions& options,
+                                  std::string source);
+  /// MergeTraces: appends merged_pending_ to merged_index_.
+  void flush_merged();
   /// Synthesizes every dirty trace (worker pool when threads > 1).
   /// Returns an error naming the first failing trace, if any.
   Error synthesize_dirty();
+  /// Appends the trace's pending segments to its index and re-synthesizes
+  /// its model. Touches only `trace` (and reads merged_index_, flushed
+  /// beforehand), so pool threads may run it on distinct traces at once.
   /// `span_parent` anchors the "synth.trace" telemetry span under the
   /// caller's open span even on pool threads (whose RAII span stacks
   /// start empty).
-  static void synthesize_trace(TraceState& trace,
-                               const SynthesisConfig& config,
-                               std::uint64_t span_parent);
+  void synthesize_trace(TraceState& trace, std::uint64_t span_parent) const;
 
   SynthesisConfig config_;
   std::vector<TraceState> traces_;                ///< ingestion order
   std::map<std::string, std::size_t> trace_index_;
   std::vector<SegmentInfo> segments_;
-  /// Per-segment (trace index, segment index) in ingestion order — the
-  /// deterministic global tie-break for the MergeTraces k-way merge.
-  std::vector<std::pair<std::size_t, std::size_t>> segment_locator_;
   std::size_t event_count_ = 0;
   std::size_t auto_trace_counter_ = 0;
 
-  /// MergeTraces caches one global model instead of per-trace models.
+  /// MergeTraces keeps one global index, appended in ingestion order (the
+  /// index's (time, arrival) order is then the global k-way merge; its
+  /// lookups are released between queries), and caches one global model
+  /// instead of per-trace models. Segments wait in merged_pending_ as
+  /// (position in traces_, segment) until a query.
+  std::vector<std::pair<std::size_t, Segment>> merged_pending_;
+  core::TraceIndex merged_index_;
   core::TimingModel merged_model_;
   bool merged_dirty_ = true;
 };

@@ -38,11 +38,6 @@ ExecTimeCalculator::ExecTimeCalculator(const trace::EventVector& events) {
   finalize_indices();
 }
 
-ExecTimeCalculator::ExecTimeCalculator(const trace::SortedEventView& view) {
-  for (const auto& event : view) index_event(event);
-  finalize_indices();
-}
-
 void ExecTimeCalculator::index_event(const trace::TraceEvent& event) {
   if (event.type == trace::EventType::SchedSwitch) {
     const auto& info = event.as<trace::SchedSwitchInfo>();

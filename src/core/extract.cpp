@@ -1,8 +1,10 @@
 #include "core/extract.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <tuple>
 
 #include "support/string_utils.hpp"
 
@@ -12,12 +14,7 @@ const std::vector<std::size_t> TraceIndex::kEmpty{};
 
 namespace {
 
-bool is_time_sorted(const std::int64_t* time, std::size_t count) {
-  for (std::size_t i = 1; i < count; ++i) {
-    if (time[i] < time[i - 1]) return false;
-  }
-  return true;
-}
+std::atomic<std::uint64_t> rows_written_total{0};
 
 /// Restores (time, seq) order after pushing a batch whose entries are
 /// themselves (time, seq)-sorted: one stable in-place merge, skipped when
@@ -59,7 +56,7 @@ TraceIndex::TraceIndex(const trace::EventVector& events) {
     trace::sort_by_time(copy);
     columns_.append(copy);
   }
-  index_rows(0);
+  appended(0);
 }
 
 AppendDelta TraceIndex::append(const trace::EventVector& sorted_segment) {
@@ -74,29 +71,66 @@ AppendDelta TraceIndex::append(const trace::EventVector& sorted_segment) {
   }
   const std::size_t base = columns_.size();
   columns_.append(sorted_segment);
-  return index_rows(base);
+  return appended(base);
 }
 
 AppendDelta TraceIndex::append(const trace::ColumnsView& view) {
-  if (!is_time_sorted(view.time, view.count)) {
+  if (!trace::is_time_sorted(view)) {
     throw std::invalid_argument("TraceIndex::append requires a time-sorted "
                                 "segment");
   }
   const std::size_t base = columns_.size();
   columns_.append(view);
-  return index_rows(base);
+  return appended(base);
 }
 
-AppendDelta TraceIndex::index_rows(std::size_t base) {
+std::uint64_t TraceIndex::rows_written() {
+  return rows_written_total.load(std::memory_order_relaxed);
+}
+
+void TraceIndex::reset_rows_written() {
+  rows_written_total.store(0, std::memory_order_relaxed);
+}
+
+void TraceIndex::release_lookups() {
+  ros_by_pid_ = {};
+  writes_ = {};
+  take_responses_ = {};
+  p14_by_pid_ = {};
+  node_event_ = {};
+  nodes_ = {};
+  exec_calc_ = ExecTimeCalculator();
+  lookups_released_ = true;
+}
+
+void TraceIndex::restore_lookups() {
+  if (!lookups_released_) return;
+  lookups_released_ = false;
+  for (std::size_t k = 0; k < batch_starts_.size(); ++k) {
+    const std::size_t end =
+        k + 1 < batch_starts_.size() ? batch_starts_[k + 1] : size();
+    index_rows(batch_starts_[k], end);
+  }
+}
+
+AppendDelta TraceIndex::appended(std::size_t base) {
+  batch_starts_.push_back(base);
+  rows_written_total.fetch_add(size() - base, std::memory_order_relaxed);
+  if (lookups_released_) return {};
+  return index_rows(base, size());
+}
+
+AppendDelta TraceIndex::index_rows(std::size_t from, std::size_t to) {
   AppendDelta delta;
-  const trace::ColumnsView v = columns_.view();
+  const trace::ColumnsView v = columns_.view().slice(0, to);
   // Old sizes of every per-pid / per-key list touched by this batch, so
   // (time, seq) order can be restored with one merge each.
   std::map<Pid, std::size_t> ros_sizes;
   std::map<Pid, std::size_t> p14_sizes;
   std::map<TopicTsKey, std::size_t> response_sizes;
+  const std::size_t old_writes = writes_.size();
 
-  for (std::size_t i = base; i < v.count; ++i) {
+  for (std::size_t i = from; i < v.count; ++i) {
     const auto type = static_cast<trace::EventType>(v.type[i]);
     if (type == trace::EventType::SchedSwitch) {
       const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
@@ -128,15 +162,11 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
         }
         break;
       }
-      case trace::EventType::DdsWrite: {
-        TopicTsKey key{std::string(v.str(v.arg_c[i])), v.arg_b[i]};
-        auto [it, inserted] = writes_.emplace(key, i);
-        // First event in merged order is canonical: replace only when the
-        // newcomer is strictly earlier.
-        if (!inserted && v.time[i] < v.time[it->second]) it->second = i;
-        delta.write_keys.insert(std::move(key));
+      case trace::EventType::DdsWrite:
+        writes_.push_back(WriteEntry{v.arg_c[i], v.arg_b[i], i});
+        delta.write_keys.insert(
+            TopicTsKey{std::string(v.str(v.arg_c[i])), v.arg_b[i]});
         break;
-      }
       case trace::EventType::Take: {
         if (static_cast<trace::TakeKind>(v.aux[i]) ==
             trace::TakeKind::Response) {
@@ -168,7 +198,14 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
   for (const auto& [key, old_size] : response_sizes) {
     merge_tail(take_responses_[key], old_size, v);
   }
-  exec_calc_.append_columns(v, base);
+  const auto write_less = [&v](const WriteEntry& a, const WriteEntry& b) {
+    return std::tie(a.topic, a.src_ts, v.time[a.seq], a.seq) <
+           std::tie(b.topic, b.src_ts, v.time[b.seq], b.seq);
+  };
+  const auto batch = writes_.begin() + static_cast<std::ptrdiff_t>(old_writes);
+  std::sort(batch, writes_.end(), write_less);
+  std::inplace_merge(writes_.begin(), batch, writes_.end(), write_less);
+  exec_calc_.append_columns(v, from);
   return delta;
 }
 
@@ -177,14 +214,25 @@ trace::TraceEvent TraceIndex::event_at(std::size_t seq) const {
 }
 
 const std::vector<std::size_t>& TraceIndex::ros_events_of(Pid pid) const {
+  require_lookups();
   auto it = ros_by_pid_.find(pid);
   return it == ros_by_pid_.end() ? kEmpty : it->second;
 }
 
 std::size_t TraceIndex::find_write(const std::string& topic,
                                    TimePoint src_ts) const {
-  auto it = writes_.find(TopicTsKey{topic, src_ts.count_ns()});
-  return it == writes_.end() ? npos : it->second;
+  const std::uint32_t topic_index = columns_.lookup(topic);
+  if (topic_index == trace::EventColumns::npos) return npos;
+  const std::int64_t ts = src_ts.count_ns();
+  const auto it = std::lower_bound(
+      writes_.begin(), writes_.end(), std::make_pair(topic_index, ts),
+      [](const WriteEntry& e, const std::pair<std::uint32_t, std::int64_t>& k) {
+        return std::make_pair(e.topic, e.src_ts) < k;
+      });
+  if (it == writes_.end() || it->topic != topic_index || it->src_ts != ts) {
+    return npos;
+  }
+  return it->seq;
 }
 
 const std::vector<std::size_t>& TraceIndex::find_take_responses(

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +73,10 @@ struct AppendDelta {
 /// segment, which always has the smaller sequence number), so an index
 /// grown by appends is indistinguishable from one built over the fully
 /// merged trace — the property incremental re-synthesis relies on.
+///
+/// A holder that re-extracts everything on each query anyway can
+/// release_lookups() between queries, keeping only the compact columns;
+/// restore_lookups() rebuilds them batch by batch, exactly as appended.
 class TraceIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -88,6 +93,19 @@ class TraceIndex {
   /// Same, straight from columnar storage (e.g. a mapped .ttb file).
   AppendDelta append(const trace::ColumnsView& view);
 
+  /// Frees every lookup table (per-pid lists, key lookups, node names,
+  /// exec-time calculator) but keeps the columns. Until restore_lookups(),
+  /// appends only copy rows (their AppendDelta is empty) and lookup
+  /// queries throw std::logic_error.
+  void release_lookups();
+  /// Rebuilds the released lookups; a no-op when they are present.
+  void restore_lookups();
+
+  /// Pre-sizes the columns for `additional_events` more rows.
+  void reserve(std::size_t additional_events) {
+    columns_.reserve(additional_events);
+  }
+
   /// Number of indexed events. Sequence numbers are [0, size()).
   std::size_t size() const { return columns_.size(); }
 
@@ -101,7 +119,10 @@ class TraceIndex {
   const std::vector<std::size_t>& ros_events_of(Pid pid) const;
 
   /// Node name per PID from P1 events; empty map entry when unknown.
-  const std::map<Pid, std::string>& nodes() const { return nodes_; }
+  const std::map<Pid, std::string>& nodes() const {
+    require_lookups();
+    return nodes_;
+  }
 
   /// Sequence of the dds_write matching (topic, src_ts), or npos. When
   /// several match, the chronologically first one wins.
@@ -116,14 +137,42 @@ class TraceIndex {
   /// `after` (in (time, seq) order), or npos.
   std::size_t next_take_type_erased_after(Pid pid, std::size_t after) const;
 
-  const ExecTimeCalculator& exec_calc() const { return exec_calc_; }
+  const ExecTimeCalculator& exec_calc() const {
+    require_lookups();
+    return exec_calc_;
+  }
+
+  /// Rows written into the columns of every TraceIndex, process-wide. A
+  /// synthesis writes each event exactly once; bench_merge_strategies
+  /// gates on it.
+  static std::uint64_t rows_written();
+  static void reset_rows_written();
 
  private:
-  AppendDelta index_rows(std::size_t base);
+  /// Bookkeeping after rows [base, size()) were copied in.
+  AppendDelta appended(std::size_t base);
+  /// Indexes rows [from, to), one time-sorted batch.
+  AppendDelta index_rows(std::size_t from, std::size_t to);
+  void require_lookups() const {
+    if (lookups_released_) {
+      throw std::logic_error("TraceIndex lookups are released");
+    }
+  }
 
   trace::EventColumns columns_;
+  std::vector<std::size_t> batch_starts_;  ///< first row of each append
+  bool lookups_released_ = false;
   std::map<Pid, std::vector<std::size_t>> ros_by_pid_;
-  std::map<TopicTsKey, std::size_t> writes_;
+  /// Every dds_write as (topic string index, src_ts, seq), sorted by
+  /// (topic, src_ts, time, seq): a key's first entry is its chronologically
+  /// first write, the canonical match. Flat, so the index holds a few
+  /// large allocations instead of one node per write.
+  struct WriteEntry {
+    std::uint32_t topic;
+    std::int64_t src_ts;
+    std::size_t seq;
+  };
+  std::vector<WriteEntry> writes_;
   std::map<TopicTsKey, std::vector<std::size_t>> take_responses_;
   std::map<Pid, std::vector<std::size_t>> p14_by_pid_;
   /// (time, seq) of the P1 event currently naming each pid — appends only

@@ -80,12 +80,4 @@ const TimingModel& IncrementalSynthesizer::model() {
   return model_;
 }
 
-trace::EventVector IncrementalSynthesizer::merged_events() const {
-  trace::EventVector events = trace::materialize(index_.view());
-  // Rows are stored in append order; the stable sort restores the (time,
-  // append-sequence) merged order.
-  trace::sort_by_time(events);
-  return events;
-}
-
 }  // namespace tetra::core

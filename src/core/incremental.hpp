@@ -43,10 +43,6 @@ class IncrementalSynthesizer {
 
   const TraceIndex& index() const { return index_; }
 
-  /// The chronologically merged event stream (a copy; for interop with
-  /// consumers of flat traces).
-  trace::EventVector merged_events() const;
-
  private:
   void apply_delta(const AppendDelta& delta);
 

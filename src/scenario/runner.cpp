@@ -173,9 +173,9 @@ ScenarioRunResult ScenarioRunner::run(const ScenarioSpec& spec,
                                       std::uint64_t run_index) const {
   TracedRun traced = trace_run(spec, demand_scale, run_index);
 
-  // Merge the init and runtime tracer outputs once; ingested as a single
-  // sorted segment, the session synthesizes over borrowed storage with no
-  // further copy, and merged_events() is a plain copy (no re-merge).
+  // Merge the init and runtime tracer outputs once and ingest them as a
+  // single sorted segment; read back before synthesis, merged_events() is
+  // a plain copy of the queued rows.
   api::SynthesisSession session(
       session_config(api::MergeStrategy::MergeTraces));
   session.ingest(trace::merge_sorted({std::move(traced.init_trace),

@@ -11,6 +11,7 @@
 #include "support/statistics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
+#include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
 
@@ -212,38 +213,36 @@ api::Error DriftEngine::ensure_baseline() {
   return {};
 }
 
+api::Result<WindowAnalysis> DriftEngine::analyze_file(
+    const std::string& path) {
+  const api::Error error = ensure_baseline();
+  if (error.code != api::ErrorCode::None) return error;
+  trace::EventVector events;
+  try {
+    events = trace::read_trace_file(path);
+  } catch (const std::exception& e) {
+    return api::Error{api::ErrorCode::Io, e.what(), path};
+  }
+  return analyze(std::move(events));
+}
+
 api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
   const api::Error error = ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
+  ++window_counter_;
+  SentinelMetrics::get().windows.inc();
+  telemetry::ScopedSpan check_span("sentinel.check");
+  // The chain-latency axis reads the window's rows here; the session keeps
+  // only columns, so it never has to decode them back.
+  const analysis::InstanceTimeline timeline(events);
+  const std::size_t window_events = events.size();
   api::SynthesisSession window_session(config_.synthesis);
   api::IngestOptions ingest;
   ingest.trace_id = "window";
   auto segment = window_session.ingest(std::move(events), ingest);
   if (!segment.ok()) return segment.error();
-  return analyze_ingested(window_session, ingest.trace_id);
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze_file(
-    const std::string& path) {
-  const api::Error error = ensure_baseline();
-  if (error.code != api::ErrorCode::None) return error;
-  api::SynthesisSession window_session(config_.synthesis);
-  api::IngestOptions ingest;
-  ingest.trace_id = "window";
-  auto segment = window_session.ingest_file(path, ingest);
-  if (!segment.ok()) return segment.error();
-  return analyze_ingested(window_session, ingest.trace_id);
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
-    api::SynthesisSession& window_session, const std::string& trace_id) {
-  ++window_counter_;
-  SentinelMetrics::get().windows.inc();
-  telemetry::ScopedSpan check_span("sentinel.check");
-  auto model = window_session.trace_model(trace_id);
+  auto model = window_session.trace_model(ingest.trace_id);
   if (!model.ok()) return model.error();
-  auto events = window_session.merged_events(trace_id);
-  if (!events.ok()) return events.error();
   const core::TimingModel& window = model.value();
 
   WindowAnalysis analysis;
@@ -251,7 +250,7 @@ api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
   verdict.baseline_events = baseline_.events;
   verdict.baseline_vertices = baseline_.model.dag.vertex_count();
   verdict.baseline_edges = baseline_.model.dag.edge_count();
-  verdict.window_events = events.value().size();
+  verdict.window_events = window_events;
   verdict.window_vertices = window.dag.vertex_count();
   verdict.window_edges = window.dag.edge_count();
 
@@ -319,7 +318,6 @@ api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
   }
 
   // Axis 4: chain-latency envelopes (and configured deadlines).
-  const analysis::InstanceTimeline timeline(events.value());
   for (const auto& chain : baseline_.chains) {
     const auto latency =
         analysis::measure_chain_latency(timeline, chain.topics);

@@ -86,9 +86,6 @@ class DriftEngine {
     std::vector<BaselineChain> chains;
   };
 
-  api::Result<WindowAnalysis> analyze_ingested(
-      api::SynthesisSession& window_session, const std::string& trace_id);
-
   SentinelConfig config_;
   api::SynthesisSession session_;  ///< baseline segments only
   BaselineCache baseline_;

@@ -23,6 +23,27 @@ std::string_view ColumnsView::str(std::uint32_t index) const {
   return std::string_view(blob + begin, end - begin);
 }
 
+ColumnsView ColumnsView::slice(std::size_t from, std::size_t n) const {
+  ColumnsView v = *this;
+  v.time += from;
+  v.arg_a += from;
+  v.arg_b += from;
+  v.pid += from;
+  v.arg_c += from;
+  v.probe += from;
+  v.type += from;
+  v.aux += from;
+  v.count = n;
+  return v;
+}
+
+bool is_time_sorted(const ColumnsView& view) {
+  for (std::size_t i = 1; i < view.count; ++i) {
+    if (view.time[i] < view.time[i - 1]) return false;
+  }
+  return true;
+}
+
 EventColumns::EventColumns() {
   str_offsets_ = {0, 0};  // index 0 is the empty string
   intern_.emplace(std::string(), 0);
@@ -36,6 +57,11 @@ std::uint32_t EventColumns::intern(std::string_view s) {
   str_offsets_.push_back(static_cast<std::uint32_t>(blob_.size()));
   intern_.emplace(std::string(s), index);
   return index;
+}
+
+std::uint32_t EventColumns::lookup(std::string_view s) const {
+  auto it = intern_.find(s);
+  return it == intern_.end() ? npos : it->second;
 }
 
 void EventColumns::reserve(std::size_t additional_events) {
@@ -127,14 +153,23 @@ void EventColumns::append(const ColumnsView& v) {
   type_.insert(type_.end(), v.type, v.type + v.count);
   aux_.insert(aux_.end(), v.aux, v.aux + v.count);
   // String-bearing rows index the source view's table; rewrite them to
-  // indices in our own.
+  // indices in our own, interning each distinct source string once.
+  std::vector<std::uint32_t> remap(v.string_count, npos);
   for (std::size_t i = 0; i < v.count; ++i) {
     switch (static_cast<EventType>(v.type[i])) {
       case EventType::RmwCreateNode:
       case EventType::Take:
-      case EventType::DdsWrite:
-        arg_c_[base + i] = intern(v.str(v.arg_c[i]));
+      case EventType::DdsWrite: {
+        const std::uint32_t source = v.arg_c[i];
+        if (source >= remap.size()) {
+          throw std::invalid_argument("string index out of range: " +
+                                      std::to_string(source));
+        }
+        std::uint32_t& target = remap[source];
+        if (target == npos) target = intern(v.str(source));
+        arg_c_[base + i] = target;
         break;
+      }
       default:
         break;
     }

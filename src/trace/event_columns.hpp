@@ -78,16 +78,25 @@ struct ColumnsView {
   }
   std::int32_t wakeup_pid(std::size_t i) const { return sched_prev_pid(i); }
   std::int32_t wakeup_cpu(std::size_t i) const { return sched_next_pid(i); }
+
+  /// Rows [from, from + n) over the same string table (unchecked).
+  ColumnsView slice(std::size_t from, std::size_t n) const;
 };
+
+/// True when the rows are non-decreasing in time.
+bool is_time_sorted(const ColumnsView& view);
 
 /// Owning, append-only columnar store.
 class EventColumns {
  public:
+  static constexpr std::uint32_t npos = static_cast<std::uint32_t>(-1);
+
   EventColumns();
 
   void append(const TraceEvent& event);
   void append(const EventVector& events);
-  /// Bulk append; fixed columns are copied, string columns re-interned.
+  /// Bulk append; fixed columns are copied, and each distinct string the
+  /// view's rows reference is re-interned once.
   void append(const ColumnsView& view);
 
   void reserve(std::size_t additional_events);
@@ -100,6 +109,9 @@ class EventColumns {
 
   /// Interns a string, returning its table index ("" is always 0).
   std::uint32_t intern(std::string_view s);
+
+  /// Table index of `s`, or npos when it was never interned.
+  std::uint32_t lookup(std::string_view s) const;
 
  private:
   std::vector<std::int64_t> time_;

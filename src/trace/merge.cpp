@@ -1,6 +1,5 @@
 #include "trace/merge.hpp"
 
-#include <algorithm>
 #include <queue>
 
 namespace tetra::trace {
@@ -33,16 +32,6 @@ EventVector merge_sorted(const std::vector<EventVector>& traces) {
       heap.push(Cursor{c.trace, c.index + 1, c.source});
     }
   }
-  return out;
-}
-
-EventVector merge_unsorted(const std::vector<EventVector>& traces) {
-  EventVector out;
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.size();
-  out.reserve(total);
-  for (const auto& t : traces) out.insert(out.end(), t.begin(), t.end());
-  sort_by_time(out);
   return out;
 }
 

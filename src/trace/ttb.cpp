@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "telemetry/metrics.hpp"
+#include "trace/serialize.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TETRA_TTB_HAVE_MMAP 1
@@ -81,6 +82,11 @@ bool is_ttb_file(const std::string& path) {
   f.read(magic, sizeof(magic));
   return f.gcount() == sizeof(magic) &&
          std::memcmp(magic, kTtbMagic, sizeof(magic)) == 0;
+}
+
+EventVector read_trace_file(const std::string& path) {
+  return is_ttb_file(path) ? TtbReader(path).materialize()
+                           : read_jsonl_file(path);
 }
 
 void TtbReader::parse(const char* data, std::size_t size,
@@ -165,6 +171,12 @@ void TtbReader::parse(const char* data, std::size_t size,
     throw std::runtime_error("corrupt ttb file " + path + ": " + e.what());
   }
   view_ = v;
+  static telemetry::Counter& bytes_counter =
+      telemetry::MetricsRegistry::global().counter("trace.ttb_bytes");
+  static telemetry::Counter& events_counter =
+      telemetry::MetricsRegistry::global().counter("trace.ttb_events");
+  bytes_counter.add(size);
+  events_counter.add(v.count);
 }
 
 TtbReader::TtbReader(const std::string& path) {
@@ -250,14 +262,7 @@ void TtbReader::unmap() {
 }
 
 EventVector TtbReader::materialize() const {
-  EventVector events = trace::materialize(view_);
-  static telemetry::Counter& bytes_counter =
-      telemetry::MetricsRegistry::global().counter("trace.ttb_bytes");
-  static telemetry::Counter& events_counter =
-      telemetry::MetricsRegistry::global().counter("trace.ttb_events");
-  bytes_counter.add(mapped_ ? map_size_ : fallback_.size());
-  events_counter.add(events.size());
-  return events;
+  return trace::materialize(view_);
 }
 
 }  // namespace tetra::trace

@@ -27,10 +27,16 @@ void write_ttb_file(const std::string& path, const EventVector& events);
 /// True when the file exists and starts with the .ttb magic.
 bool is_ttb_file(const std::string& path);
 
+/// Reads a trace file into rows in file order: .ttb (detected by magic)
+/// is decoded from its columns, anything else parses as JSONL. Throws on
+/// unreadable or malformed input.
+EventVector read_trace_file(const std::string& path);
+
 /// Read-side handle. Memory-maps the file where the platform allows
 /// (read-only, private) and falls back to a buffered read elsewhere; either
 /// way the header and every row are validated once at open, after which
-/// view() exposes the columns zero-copy. Move-only.
+/// view() exposes the columns zero-copy until the reader is destroyed.
+/// Move-only.
 class TtbReader {
  public:
   explicit TtbReader(const std::string& path);

@@ -99,6 +99,29 @@ TEST(ChainsTest, GuardAgainstExplosion) {
   EXPECT_EQ(result.chains.size(), 1000u);
 }
 
+TEST(ChainsTest, BackEdgeEndsPathAndFlagsCycle) {
+  // S -> A <-> B -> T: the merge of unrelated runs can produce such 2-cycles.
+  core::Dag dag;
+  for (const char* key : {"S", "A", "B", "T"}) {
+    core::DagVertex v;
+    v.key = key;
+    dag.add_or_merge_vertex(v);
+  }
+  dag.add_edge("S", "A", "/sa");
+  dag.add_edge("A", "B", "/ab");
+  dag.add_edge("B", "A", "/ba");
+  dag.add_edge("B", "T", "/bt");
+  ASSERT_FALSE(dag.is_acyclic());
+  const ChainEnumeration result = enumerate_chains(dag);
+  EXPECT_TRUE(result.cyclic);
+  EXPECT_FALSE(result.truncated);
+  ASSERT_EQ(result.chains.size(), 2u);
+  // B's back edge to A ends one path at B, after the one through to T.
+  EXPECT_EQ(to_string(result.chains[0]), "S -> A -> B -> T");
+  EXPECT_EQ(to_string(result.chains[1]), "S -> A -> B");
+  EXPECT_FALSE(enumerate_chains(diamond_dag()).cyclic);
+}
+
 TEST(LoadTest, UtilizationFromRateAndAcet) {
   const auto dag = diamond_dag();
   // span 1s, 2 instances each: rate 2 Hz; util = rate * mACET.

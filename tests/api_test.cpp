@@ -13,12 +13,14 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "core/export.hpp"
 #include "core/model_synthesis.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
 #include "trace/database.hpp"
 #include "trace/event_view.hpp"
 #include "trace/serialize.hpp"
+#include "trace/ttb.hpp"
 
 namespace tetra::api {
 namespace {
@@ -372,6 +374,231 @@ TEST(SegmentedIngestionProperty, SegmentedMergedEventsRoundTrip) {
     session.ingest(std::move(segment), {.trace_id = "t", .mode = ""});
   }
   EXPECT_EQ(session.merged_events("t").value(), events);
+}
+
+// -- columnar segment storage ------------------------------------------------
+//
+// A session stores each trace as one appendable index: .ttb files stay
+// mapped until synthesis copies them, rows are queued sorted. Every case
+// below must be byte-identical (core::to_json) to a session that ingested
+// the same segments, in the same order, as in-memory rows.
+
+enum class Source { Memory, Jsonl, Ttb };
+
+struct StorageCase {
+  const char* name;
+  SynthesisConfig config;
+};
+
+std::vector<StorageCase> storage_cases() {
+  return {
+      {"merge-dags",
+       SynthesisConfig().merge_strategy(MergeStrategy::MergeDags)},
+      {"merge-dags-pooled",
+       SynthesisConfig().merge_strategy(MergeStrategy::MergeDags).threads(3)},
+      {"merge-dags-incremental",
+       SynthesisConfig().merge_strategy(MergeStrategy::MergeDags).incremental(
+           true)},
+      {"merge-traces",
+       SynthesisConfig().merge_strategy(MergeStrategy::MergeTraces)},
+  };
+}
+
+/// Ingests `events` from `source` (files are written under `name`).
+Result<SegmentInfo> ingest_from(SynthesisSession& session, Source source,
+                                const trace::EventVector& events,
+                                const std::string& name,
+                                const std::string& trace_id) {
+  const IngestOptions options{.trace_id = trace_id, .mode = ""};
+  const std::string path = ::testing::TempDir() + name;
+  switch (source) {
+    case Source::Jsonl:
+      trace::write_jsonl_file(path + ".jsonl", events);
+      return session.ingest_file(path + ".jsonl", options);
+    case Source::Ttb:
+      trace::write_ttb_file(path + ".ttb", events);
+      return session.ingest_file(path + ".ttb", options);
+    case Source::Memory:
+      break;
+  }
+  return session.ingest(events, options);
+}
+
+std::string model_json(SynthesisSession& session) {
+  const Result<core::TimingModel> model = session.model();
+  EXPECT_TRUE(model.ok()) << model.error().to_string();
+  return model.ok() ? core::to_json(model->dag) : std::string();
+}
+
+struct Arrival {
+  std::string trace_id;
+  Source source;
+  trace::EventVector events;
+};
+
+/// Two runs, each cut into segments, interleaved across the traces and
+/// sources so every trace mixes .ttb, JSONL and in-memory segments.
+std::vector<Arrival> mixed_arrivals() {
+  const std::vector<trace::EventVector> a =
+      split_segments(scenario_trace(31), 4);
+  const std::vector<trace::EventVector> b =
+      split_segments(scenario_trace(32), 3);
+  const Source cycle[] = {Source::Ttb, Source::Jsonl, Source::Memory};
+  std::vector<Arrival> arrivals;
+  for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i < a.size()) arrivals.push_back({"a", cycle[i % 3], a[i]});
+    if (i < b.size()) arrivals.push_back({"b", cycle[(i + 1) % 3], b[i]});
+  }
+  return arrivals;
+}
+
+/// Ingests arrivals [from, to) into `session`, as in-memory rows when
+/// `memory_only`.
+void ingest_arrivals(SynthesisSession& session,
+                     const std::vector<Arrival>& arrivals, std::size_t from,
+                     std::size_t to, bool memory_only,
+                     const std::string& tag) {
+  for (std::size_t i = from; i < to; ++i) {
+    const Arrival& arrival = arrivals[i];
+    const Source source = memory_only ? Source::Memory : arrival.source;
+    const auto info =
+        ingest_from(session, source, arrival.events,
+                    tag + "-seg" + std::to_string(i), arrival.trace_id);
+    ASSERT_TRUE(info.ok()) << info.error().to_string();
+    EXPECT_EQ(info->event_count, arrival.events.size());
+  }
+}
+
+TEST(ColumnarStorageTest, MixedSourcesMatchInMemorySession) {
+  const std::vector<Arrival> arrivals = mixed_arrivals();
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession mixed(c.config);
+    ingest_arrivals(mixed, arrivals, 0, arrivals.size(), false,
+                    std::string("mixed-") + c.name);
+    SynthesisSession memory(c.config);
+    ingest_arrivals(memory, arrivals, 0, arrivals.size(), true, "");
+    EXPECT_EQ(model_json(mixed), model_json(memory)) << c.name;
+    for (const char* id : {"a", "b"}) {
+      EXPECT_EQ(core::to_json(mixed.trace_model(id).value().dag),
+                core::to_json(memory.trace_model(id).value().dag))
+          << c.name << " trace " << id;
+      EXPECT_EQ(mixed.merged_events(id).value(),
+                memory.merged_events(id).value())
+          << c.name << " trace " << id;
+    }
+  }
+}
+
+TEST(ColumnarStorageTest, UnsortedTtbSegmentIsSortedOnIngest) {
+  trace::EventVector events = scenario_trace(33);
+  std::mt19937_64 rng(33);
+  std::shuffle(events.begin(), events.end(), rng);
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession from_file(c.config);
+    const auto info = ingest_from(from_file, Source::Ttb, events,
+                                  std::string("unsorted-") + c.name, "t");
+    ASSERT_TRUE(info.ok()) << info.error().to_string();
+    EXPECT_FALSE(info->arrived_sorted) << c.name;
+    SynthesisSession memory(c.config);
+    ASSERT_TRUE(memory.ingest(events, {.trace_id = "t", .mode = ""}).ok());
+    EXPECT_EQ(model_json(from_file), model_json(memory)) << c.name;
+    EXPECT_EQ(from_file.merged_events("t").value(),
+              memory.merged_events("t").value())
+        << c.name;
+  }
+}
+
+TEST(ColumnarStorageTest, IngestAfterModelMatchesFreshSession) {
+  const std::vector<Arrival> arrivals = mixed_arrivals();
+  const std::size_t half = arrivals.size() / 2;
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession stepwise(c.config);
+    ingest_arrivals(stepwise, arrivals, 0, half, false,
+                    std::string("step-") + c.name);
+    ASSERT_FALSE(model_json(stepwise).empty()) << c.name;
+    ingest_arrivals(stepwise, arrivals, half, arrivals.size(), false,
+                    std::string("step-") + c.name);
+    SynthesisSession fresh(c.config);
+    ingest_arrivals(fresh, arrivals, 0, arrivals.size(), true, "");
+    EXPECT_EQ(model_json(stepwise), model_json(fresh)) << c.name;
+    EXPECT_EQ(stepwise.merged_events("a").value(),
+              fresh.merged_events("a").value())
+        << c.name;
+  }
+}
+
+TEST(ColumnarStorageTest, ReleaseEventsCountsTtbSegments) {
+  const std::vector<trace::EventVector> segments =
+      split_segments(scenario_trace(34), 3);
+  std::size_t total = 0;
+  for (const auto& segment : segments) total += segment.size();
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession session(c.config);
+    SynthesisSession memory(c.config);
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      ASSERT_TRUE(ingest_from(session, Source::Ttb, segments[i],
+                              std::string("release-") + c.name +
+                                  std::to_string(i),
+                              "r")
+                      .ok());
+      ASSERT_TRUE(memory.ingest(segments[i], {.trace_id = "r", .mode = ""})
+                      .ok());
+    }
+    const Result<std::size_t> freed = session.release_events("r");
+    if (c.config.merge_strategy() == MergeStrategy::MergeTraces) {
+      EXPECT_EQ(freed.error().code, ErrorCode::InvalidArgument) << c.name;
+      continue;
+    }
+    // Released while still dirty: synthesis runs first, then every event
+    // of every mapped segment is counted once.
+    ASSERT_TRUE(freed.ok()) << c.name;
+    EXPECT_EQ(*freed, total) << c.name;
+    EXPECT_EQ(session.event_count(), total) << c.name;
+    EXPECT_EQ(model_json(session), model_json(memory)) << c.name;
+    EXPECT_EQ(session.merged_events("r").error().code,
+              ErrorCode::InvalidArgument)
+        << c.name;
+  }
+}
+
+TEST(ColumnarStorageTest, MergedEventsKeepTimeThenIngestionOrder) {
+  // Segments cut through runs of equal timestamps and arrive shuffled:
+  // the merged stream is the stable time sort of the segments in
+  // ingestion order, before and after synthesis, for every source.
+  const trace::EventVector events = scenario_trace(35);
+  std::vector<trace::EventVector> segments;
+  for (std::size_t i = 0; i < events.size(); i += events.size() / 5 + 1) {
+    const std::size_t end = std::min(events.size(), i + events.size() / 5 + 1);
+    segments.emplace_back(events.begin() + static_cast<std::ptrdiff_t>(i),
+                          events.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  std::mt19937_64 rng(35);
+  std::shuffle(segments.begin(), segments.end(), rng);
+  trace::EventVector expected;
+  for (const auto& segment : segments) {
+    expected.insert(expected.end(), segment.begin(), segment.end());
+  }
+  trace::sort_by_time(expected);
+
+  const Source cycle[] = {Source::Ttb, Source::Jsonl, Source::Memory};
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession session(c.config);
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      ASSERT_TRUE(ingest_from(session, cycle[i % 3], segments[i],
+                              std::string("order-") + c.name +
+                                  std::to_string(i),
+                              "t")
+                      .ok());
+    }
+    EXPECT_EQ(session.merged_events("t").value(), expected)
+        << c.name << " before synthesis";
+    ASSERT_TRUE(session.model().ok());
+    EXPECT_EQ(session.merged_events("t").value(), expected)
+        << c.name << " after synthesis";
+    ASSERT_TRUE(session.trace_model("t").ok());
+    EXPECT_EQ(session.merged_events("t").value(), expected)
+        << c.name << " after the trace model";
+  }
 }
 
 }  // namespace

@@ -63,6 +63,71 @@ TEST(TraceIndexTest, DiscoversNodesAndIndexes) {
   EXPECT_EQ(index.find_take_responses("/svReply", TimePoint{380}).size(), 2u);
 }
 
+/// Per-node (id, in_topic, out_topics, exec_times) of every callback — what
+/// two indexes over the same rows must agree on.
+std::vector<std::string> extraction_summary(const TraceIndex& index) {
+  std::vector<std::string> summary;
+  for (const CallbackList& list : extract_all_nodes(index)) {
+    for (const CallbackRecord& record : list.records) {
+      std::string line = std::to_string(record.id) + " " + record.in_topic;
+      for (const auto& topic : record.out_topics) line += " >" + topic;
+      for (const Duration& d : record.exec_times) {
+        line += " " + std::to_string(d.count_ns());
+      }
+      summary.push_back(line);
+    }
+  }
+  return summary;
+}
+
+TEST(TraceIndexTest, ReleasedLookupsRestoreExactly) {
+  EventVector events = service_scenario();
+  sort_by_time(events);
+  const EventVector first(events.begin(), events.begin() + 7);
+  const EventVector second(events.begin() + 7, events.begin() + 11);
+  const EventVector third(events.begin() + 11, events.end());
+  // Batches arrive out of time order, so the restored lookups must be
+  // rebuilt batch by batch, as they were appended.
+  TraceIndex whole;
+  whole.append(third);
+  whole.append(first);
+  whole.append(second);
+
+  TraceIndex released;
+  released.append(third);
+  released.release_lookups();
+  EXPECT_THROW(released.nodes(), std::logic_error);
+  EXPECT_THROW(released.ros_events_of(kNodeA), std::logic_error);
+  // While released, appends only copy rows.
+  EXPECT_TRUE(released.append(first).ros_pids.empty());
+  released.append(second);
+  EXPECT_EQ(released.size(), events.size());
+  released.restore_lookups();
+
+  EXPECT_EQ(released.nodes(), whole.nodes());
+  EXPECT_EQ(released.ros_events_of(kNodeA), whole.ros_events_of(kNodeA));
+  EXPECT_EQ(released.find_write("/svReply", TimePoint{380}),
+            whole.find_write("/svReply", TimePoint{380}));
+  EXPECT_EQ(released.find_take_responses("/svReply", TimePoint{380}),
+            whole.find_take_responses("/svReply", TimePoint{380}));
+  EXPECT_EQ(extraction_summary(released), extraction_summary(whole));
+  EXPECT_FALSE(extraction_summary(whole).empty());
+}
+
+TEST(TraceIndexTest, DuplicateWriteKeyResolvesToEarliestWrite) {
+  // The same (topic, src_ts) written twice: the chronologically first
+  // write is canonical, whichever batch brought it and in whatever order.
+  TraceIndex index;
+  index.append(
+      EventVector{make_dds_write(TimePoint{50}, kNodeB, "/t", TimePoint{7})});
+  index.append(EventVector{
+      make_dds_write(TimePoint{10}, kNodeA, "/t", TimePoint{7}),
+      make_dds_write(TimePoint{10}, kNodeC, "/t", TimePoint{7})});
+  EXPECT_EQ(index.find_write("/t", TimePoint{7}), 1u);
+  EXPECT_EQ(index.find_write("/t", TimePoint{8}), TraceIndex::npos);
+  EXPECT_EQ(index.find_write("/unknown", TimePoint{7}), TraceIndex::npos);
+}
+
 TEST(FindCallerTest, ResolvesTimerCaller) {
   const auto events = service_scenario();
   TraceIndex index(events);

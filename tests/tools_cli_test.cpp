@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -189,6 +190,38 @@ TEST(SentinelCliTest, UnreadableFilesExitThree) {
                         "/nonexistent/window.jsonl --quiet")
                 .exit_code,
             3);
+}
+
+TEST(SentinelCliTest, TwoBaselinesNeverCrash) {
+  // Two independent runs as baselines merge into a cyclic model; the chain
+  // enumeration used to recurse until the stack overflowed. Whatever the
+  // verdict, the tool must exit with its own status, never a signal.
+  REQUIRE_TOOL("tetra_sentinel");
+  const std::string data = std::string(TETRA_TEST_DATA_DIR);
+  const std::string baselines = " --baseline " + data +
+                                "/scenario_seed7_trace.jsonl --baseline " +
+                                data + "/sentinel_seed7_clean.jsonl";
+  const auto exited_normally = [](int code) {
+    return code == 0 || code == 1 || code == 3;
+  };
+  const int batch = run_command(binary("tetra_sentinel") + baselines +
+                                " --window " + data +
+                                "/sentinel_seed7_drift.jsonl --quiet")
+                        .exit_code;
+  EXPECT_TRUE(exited_normally(batch)) << "batch exit " << batch;
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "two_baselines_follow";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(data + "/sentinel_seed7_clean.jsonl",
+                             dir / "000-clean.jsonl");
+  const int follow =
+      run_command(binary("tetra_sentinel") + baselines + " --follow " +
+                  dir.string() + " --span 400 --advance 200 --quiet")
+          .exit_code;
+  EXPECT_TRUE(exited_normally(follow)) << "--follow exit " << follow;
+  std::filesystem::remove_all(dir);
 }
 
 std::string slurp(const std::string& path) {

@@ -81,6 +81,68 @@ TEST(EventColumnsTest, AppendViewReinterns) {
             make_dds_write(TimePoint{1}, 1, "/x", TimePoint{1}));
 }
 
+/// The string a string-bearing row references ("" for other rows).
+std::string row_string(const ColumnsView& view, std::size_t i) {
+  switch (static_cast<EventType>(view.type[i])) {
+    case EventType::RmwCreateNode:
+    case EventType::Take:
+    case EventType::DdsWrite:
+      return std::string(view.str(view.arg_c[i]));
+    default:
+      return "";
+  }
+}
+
+TEST(EventColumnsTest, AppendViewsWithDifferentStringTables) {
+  // Two sources intern the same strings in different orders and reference
+  // some of them many times; appending both must remap every row to the
+  // right string of the target's table.
+  EventColumns first;
+  first.append(make_node_event(TimePoint{0}, 1, "alpha"));
+  first.append(make_dds_write(TimePoint{1}, 1, "/b", TimePoint{1}));
+  first.append(make_dds_write(TimePoint{2}, 1, "/a", TimePoint{2}));
+  first.append(make_take(TimePoint{3}, 2, TakeKind::Data, 7, "/b",
+                         TimePoint{1}));
+  first.append(make_callback_start(TimePoint{4}, 2, CallbackKind::Timer));
+  first.append(make_dds_write(TimePoint{5}, 1, "/b", TimePoint{5}));
+  EventColumns second;
+  second.append(make_dds_write(TimePoint{6}, 3, "/a", TimePoint{6}));
+  second.append(make_node_event(TimePoint{7}, 3, "beta"));
+  second.append(make_dds_write(TimePoint{8}, 3, "/c", TimePoint{8}));
+  second.append(make_take(TimePoint{9}, 1, TakeKind::Request, 8, "/a",
+                          TimePoint{6}));
+  second.append(make_dds_write(TimePoint{10}, 3, "/a", TimePoint{10}));
+
+  EventColumns target;
+  target.append(make_dds_write(TimePoint{-1}, 4, "/c", TimePoint{-1}));
+  target.append(first.view());
+  target.append(second.view());
+
+  const ColumnsView view = target.view();
+  ASSERT_EQ(view.count, 1 + first.size() + second.size());
+  std::vector<std::string> expected{"/c"};
+  for (const ColumnsView& source : {first.view(), second.view()}) {
+    for (std::size_t i = 0; i < source.count; ++i) {
+      expected.push_back(row_string(source, i));
+    }
+  }
+  for (std::size_t i = 0; i < view.count; ++i) {
+    EXPECT_EQ(row_string(view, i), expected[i]) << "row " << i;
+  }
+  // "", "/c", "alpha", "/b", "/a", "beta": each string interned once.
+  EXPECT_EQ(view.string_count, 6u);
+}
+
+TEST(EventColumnsTest, AppendViewRejectsBadStringIndex) {
+  EventColumns source;
+  source.append(make_dds_write(TimePoint{1}, 1, "/x", TimePoint{1}));
+  ColumnsView corrupt = source.view();
+  const std::uint32_t bad_index = 99;
+  corrupt.arg_c = &bad_index;
+  EventColumns target;
+  EXPECT_THROW(target.append(corrupt), std::invalid_argument);
+}
+
 TEST(TtbTest, FileRoundTripsEveryEventType) {
   const EventVector events = one_of_each();
   const std::string path = temp_path("roundtrip.ttb");

@@ -180,9 +180,7 @@ int main(int argc, char** argv) {
     }
     try {
       const std::string& in = trace_paths[0];
-      const trace::EventVector events = trace::is_ttb_file(in)
-                                            ? trace::TtbReader(in).materialize()
-                                            : trace::read_jsonl_file(in);
+      const trace::EventVector events = trace::read_trace_file(in);
       if (!to_ttb_path.empty()) {
         trace::write_ttb_file(to_ttb_path, events);
         std::fprintf(stderr, "wrote %zu events to %s\n", events.size(),
@@ -266,6 +264,11 @@ int main(int argc, char** argv) {
                      "warning: chain enumeration truncated at %zu chains; "
                      "the list above is incomplete\n",
                      chains.chains.size());
+      }
+      if (chains.cyclic) {
+        std::fprintf(stderr,
+                     "warning: the model has cycles; chains above stop "
+                     "before their first repeated vertex\n");
       }
     }
   } catch (const std::exception& e) {
