@@ -1,78 +1,119 @@
 #include "analysis/latency.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 
 #include "core/exec_time.hpp"
-#include "trace/event_view.hpp"
 
 namespace tetra::analysis {
 
 const std::vector<TimePoint> InstanceTimeline::kNoWrites{};
 
-InstanceTimeline::InstanceTimeline(const trace::EventVector& events) {
-  // Walk the events chronologically; only unsorted input is copied.
-  trace::EventVector sorted_copy;
-  const trace::EventVector* sorted = &events;
+namespace {
+
+trace::EventColumns to_columns(const trace::EventVector& events) {
+  trace::EventColumns columns;
+  columns.append(events);
+  return columns;
+}
+
+}  // namespace
+
+InstanceTimeline::InstanceTimeline(const trace::EventVector& events)
+    : InstanceTimeline(to_columns(events).view()) {}
+
+InstanceTimeline::InstanceTimeline(const trace::ColumnsView& events) {
+  // Walk the rows chronologically (ties keep row order); only unsorted
+  // input needs an explicit order.
+  std::vector<std::size_t> order;
   if (!trace::is_time_sorted(events)) {
-    sorted_copy = events;
-    trace::sort_by_time(sorted_copy);
-    sorted = &sorted_copy;
+    order.resize(events.count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return events.time[a] < events.time[b];
+                     });
   }
-  consumers_.reserve(events.size() / 4);
+  std::size_t ends = 0;
+  for (std::size_t i = 0; i < events.count; ++i) {
+    ends += events.type[i] ==
+            static_cast<std::uint8_t>(trace::EventType::CallbackEnd);
+  }
+  instances_.reserve(ends);
+  consumers_.reserve(ends);
+
+  // Per string-table entry: the decoded topic name and its write list,
+  // looked up once.
+  struct Topic {
+    std::string name;
+    std::vector<TimePoint>* writes = nullptr;
+  };
+  std::vector<std::optional<Topic>> topics(events.string_count);
+  const auto topic = [&](std::size_t row) -> Topic& {
+    const std::uint32_t index = events.arg_c[row];
+    const std::string_view name = events.str(index);  // bounds check
+    if (!topics[index].has_value()) {
+      topics[index].emplace(Topic{std::string(name)});
+    }
+    return *topics[index];
+  };
 
   // Per-PID in-flight instance assembly, mirroring the single-threaded
-  // executor assumption: one open instance per PID at a time.
-  std::map<Pid, CallbackInstance> open;
-  for (const auto& event : *sorted) {
-    switch (event.type) {
+  // executor assumption: one open instance per PID at a time. A PID's
+  // slot stays in the map between its instances.
+  std::map<Pid, std::optional<CallbackInstance>> open;
+  const auto open_at = [&](Pid pid) -> CallbackInstance* {
+    auto it = open.find(pid);
+    return it != open.end() && it->second.has_value() ? &*it->second
+                                                      : nullptr;
+  };
+  for (std::size_t k = 0; k < events.count; ++k) {
+    const std::size_t i = order.empty() ? k : order[k];
+    const Pid pid = static_cast<Pid>(events.pid[i]);
+    switch (static_cast<trace::EventType>(events.type[i])) {
       case trace::EventType::CallbackStart: {
-        CallbackInstance inst;
-        inst.pid = event.pid;
-        inst.kind = event.as<trace::CallbackPhaseInfo>().kind;
-        inst.start = event.time;
-        open[event.pid] = std::move(inst);
+        CallbackInstance& inst = open[pid].emplace();
+        inst.pid = pid;
+        inst.kind = trace::callback_kind_from_int(events.aux[i]);
+        inst.start = TimePoint{events.time[i]};
         break;
       }
-      case trace::EventType::TimerCall: {
-        auto it = open.find(event.pid);
-        if (it != open.end()) {
-          it->second.callback_id = event.as<trace::TimerCallInfo>().callback_id;
+      case trace::EventType::TimerCall:
+        if (CallbackInstance* inst = open_at(pid)) {
+          inst->callback_id = static_cast<CallbackId>(events.arg_a[i]);
         }
         break;
-      }
-      case trace::EventType::Take: {
-        auto it = open.find(event.pid);
-        if (it != open.end()) {
-          const auto& info = event.as<trace::TakeInfo>();
-          it->second.callback_id = info.callback_id;
-          it->second.take = {info.topic, info.src_ts};
+      case trace::EventType::Take:
+        if (CallbackInstance* inst = open_at(pid)) {
+          inst->callback_id = static_cast<CallbackId>(events.arg_a[i]);
+          inst->take = {topic(i).name, TimePoint{events.arg_b[i]}};
         }
         break;
-      }
       case trace::EventType::DdsWrite: {
-        const auto& info = event.as<trace::DdsWriteInfo>();
-        writes_by_topic_[info.topic].push_back(info.src_ts);
-        auto it = open.find(event.pid);
-        if (it != open.end()) {
-          it->second.writes.push_back({info.topic, info.src_ts});
+        Topic& written = topic(i);
+        if (written.writes == nullptr) {
+          written.writes = &writes_by_topic_[written.name];
+        }
+        const TimePoint src_ts{events.arg_b[i]};
+        written.writes->push_back(src_ts);
+        if (CallbackInstance* inst = open_at(pid)) {
+          inst->writes.push_back({written.name, src_ts});
         }
         break;
       }
-      case trace::EventType::CallbackEnd: {
-        auto it = open.find(event.pid);
-        if (it != open.end()) {
-          it->second.end = event.time;
+      case trace::EventType::CallbackEnd:
+        if (CallbackInstance* inst = open_at(pid)) {
+          inst->end = TimePoint{events.time[i]};
           const std::size_t index = instances_.size();
-          if (it->second.take.has_value()) {
-            consumers_[Key{it->second.take->first,
-                           it->second.take->second.count_ns()}]
+          if (inst->take.has_value()) {
+            consumers_[Key{inst->take->first, inst->take->second.count_ns()}]
                 .push_back(index);
           }
-          instances_.push_back(std::move(it->second));
-          open.erase(it);
+          instances_.push_back(std::move(*inst));
+          open[pid].reset();
         }
         break;
-      }
       default:
         break;
     }

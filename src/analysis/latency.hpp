@@ -19,6 +19,7 @@
 #include "support/statistics.hpp"
 #include "support/time.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::analysis {
 
@@ -37,7 +38,10 @@ struct CallbackInstance {
 
 class InstanceTimeline {
  public:
-  /// Builds the timeline from a merged trace (ROS2 events only needed).
+  /// Builds the timeline from a merged trace (ROS2 events only needed),
+  /// walking its rows in (time, row) order.
+  explicit InstanceTimeline(const trace::ColumnsView& events);
+  /// Same over rows (encoded into columns first).
   explicit InstanceTimeline(const trace::EventVector& events);
 
   /// Builds the timeline from already-assembled instances, plus writes

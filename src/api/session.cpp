@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -82,12 +83,24 @@ core::TimingModel synthesize_index(const core::TraceIndex& index,
   return model;
 }
 
-/// Appends one queued segment (rows or a mapped .ttb) to `sink`, a
-/// TraceIndex or an IncrementalSynthesizer.
+/// The columns of a queued segment; nullopt for a rows segment.
+template <typename Segment>
+std::optional<trace::ColumnsView> segment_columns(const Segment& segment) {
+  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
+    return file->view();
+  }
+  if (const auto* columns = std::get_if<trace::EventColumns>(&segment)) {
+    return columns->view();
+  }
+  return std::nullopt;
+}
+
+/// Appends one queued segment (rows or columns) to `sink`, a TraceIndex
+/// or an IncrementalSynthesizer.
 template <typename Sink, typename Segment>
 void append_segment(Sink& sink, const Segment& segment) {
-  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
-    sink.append(file->view());
+  if (const auto columns = segment_columns(segment)) {
+    sink.append(*columns);
   } else {
     sink.append(std::get<trace::EventVector>(segment));
   }
@@ -95,9 +108,7 @@ void append_segment(Sink& sink, const Segment& segment) {
 
 template <typename Segment>
 std::size_t segment_size(const Segment& segment) {
-  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
-    return file->size();
-  }
+  if (const auto columns = segment_columns(segment)) return columns->count;
   return std::get<trace::EventVector>(segment).size();
 }
 
@@ -111,8 +122,8 @@ void append_decoded(trace::EventVector& out, const trace::ColumnsView& view) {
 /// Appends the rows of one queued segment to `out`.
 template <typename Segment>
 void append_rows(trace::EventVector& out, const Segment& segment) {
-  if (const auto* file = std::get_if<trace::TtbReader>(&segment)) {
-    append_decoded(out, file->view());
+  if (const auto columns = segment_columns(segment)) {
+    append_decoded(out, *columns);
   } else {
     const auto& rows = std::get<trace::EventVector>(segment);
     out.insert(out.end(), rows.begin(), rows.end());
@@ -143,6 +154,11 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
 }
 
 Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
+                                             const IngestOptions& options) {
+  return add_segment(std::move(events), options, "events");
+}
+
+Result<SegmentInfo> SynthesisSession::ingest(trace::EventColumns events,
                                              const IngestOptions& options) {
   return add_segment(std::move(events), options, "events");
 }
@@ -194,7 +210,7 @@ Result<SegmentInfo> SynthesisSession::add_segment(Segment segment,
     info.arrived_sorted = trace::is_time_sorted(*rows);
     if (!info.arrived_sorted) trace::sort_by_time(*rows);
   } else {
-    const trace::ColumnsView& view = std::get<trace::TtbReader>(segment).view();
+    const trace::ColumnsView view = *segment_columns(segment);
     info.event_count = view.count;
     info.arrived_sorted = trace::is_time_sorted(view);
     if (!info.arrived_sorted) {
@@ -449,7 +465,7 @@ Result<core::MultiModeDag> SynthesisSession::multi_mode_model() {
   return multi;
 }
 
-Result<core::TimingModel> SynthesisSession::trace_model(
+Result<SynthesisSession::TraceState*> SynthesisSession::synthesized_trace(
     const std::string& trace_id) {
   auto it = trace_index_.find(trace_id);
   if (it == trace_index_.end()) {
@@ -465,7 +481,23 @@ Result<core::TimingModel> SynthesisSession::trace_model(
       return make_error(ErrorCode::SynthesisFailed, e.what(), trace_id);
     }
   }
-  return trace.model;
+  return &trace;
+}
+
+Result<core::TimingModel> SynthesisSession::trace_model(
+    const std::string& trace_id) & {
+  Result<TraceState*> trace = synthesized_trace(trace_id);
+  if (!trace.ok()) return trace.error();
+  return trace.value()->model;
+}
+
+Result<core::TimingModel> SynthesisSession::trace_model(
+    const std::string& trace_id) && {
+  Result<TraceState*> trace = synthesized_trace(trace_id);
+  if (!trace.ok()) return trace.error();
+  // The cached model is handed over, so the trace is dirty again.
+  trace.value()->dirty = true;
+  return std::move(trace.value()->model);
 }
 
 Result<trace::EventVector> SynthesisSession::merged_events(

@@ -38,6 +38,7 @@
 #include "predict/model_simulator.hpp"
 #include "trace/database.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 #include "trace/ttb.hpp"
 
 namespace tetra::api {
@@ -62,6 +63,12 @@ class SynthesisSession {
   /// flagged in the returned SegmentInfo); synthesis, including the copy
   /// into the trace's index, is deferred until a model query.
   Result<SegmentInfo> ingest(trace::EventVector events,
+                             const IngestOptions& options = {});
+
+  /// Adds one columnar segment; synthesis appends its columns to the
+  /// trace's index as they are. A segment whose rows are not time-sorted
+  /// is decoded and sorted on ingest, like an unsorted .ttb file.
+  Result<SegmentInfo> ingest(trace::EventColumns events,
                              const IngestOptions& options = {});
 
   /// Reads a trace file and ingests it — .ttb traces are detected by magic,
@@ -96,7 +103,10 @@ class SynthesisSession {
   Result<core::MultiModeDag> multi_mode_model();
 
   /// The model of one logical trace (its segments k-way merged).
-  Result<core::TimingModel> trace_model(const std::string& trace_id);
+  Result<core::TimingModel> trace_model(const std::string& trace_id) &;
+  /// Same from an expiring session: the cached model is moved out
+  /// instead of copied.
+  Result<core::TimingModel> trace_model(const std::string& trace_id) &&;
 
   /// The chronologically merged event stream of one trace: decoded from
   /// the trace's columns (and any still-queued segments), stably sorted
@@ -134,8 +144,9 @@ class SynthesisSession {
 
  private:
   /// One ingested segment not yet copied into an index: time-sorted rows,
-  /// or a mapped .ttb file whose rows are time-sorted.
-  using Segment = std::variant<trace::EventVector, trace::TtbReader>;
+  /// a mapped .ttb file or a columnar store, whose rows are time-sorted.
+  using Segment =
+      std::variant<trace::EventVector, trace::TtbReader, trace::EventColumns>;
 
   struct TraceState {
     std::string id;
@@ -172,6 +183,9 @@ class SynthesisSession {
                                   std::string source);
   /// MergeTraces: appends merged_pending_ to merged_index_.
   void flush_merged();
+  /// The trace's state with its model synthesized (UnknownTrace or
+  /// SynthesisFailed otherwise).
+  Result<TraceState*> synthesized_trace(const std::string& trace_id);
   /// Synthesizes every dirty trace (worker pool when threads > 1).
   /// Returns an error naming the first failing trace, if any.
   Error synthesize_dirty();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -62,18 +63,23 @@ std::map<std::string, std::vector<double>> collect_exec_samples(
   return samples;
 }
 
-std::set<std::string> vertex_keys(const core::Dag& dag) {
-  std::set<std::string> keys;
+/// The vertex keys of a DAG, as views into it.
+std::set<std::string_view> vertex_keys(const core::Dag& dag) {
+  std::set<std::string_view> keys;
   for (const auto& vertex : dag.vertices()) keys.insert(vertex.key);
   return keys;
 }
 
+/// (from, to, topic) of an edge: owned (baseline side), or viewing the
+/// DAG's strings.
 using EdgeKey = std::tuple<std::string, std::string, std::string>;
+using EdgeView =
+    std::tuple<std::string_view, std::string_view, std::string_view>;
 
-std::set<EdgeKey> edge_keys(const core::Dag& dag) {
-  std::set<EdgeKey> keys;
+std::set<EdgeView> edge_keys(const core::Dag& dag) {
+  std::set<EdgeView> keys;
   for (const auto& edge : dag.edges()) {
-    keys.insert(EdgeKey{edge.from, edge.to, edge.topic});
+    keys.insert(EdgeView{edge.from, edge.to, edge.topic});
   }
   return keys;
 }
@@ -99,10 +105,10 @@ AxisObservation structural_observation(DriftKind kind, std::string subject,
   return obs;
 }
 
-void add_structural_observations(const core::Dag& baseline,
-                                 const core::Dag& window,
-                                 std::vector<AxisObservation>& observations) {
-  const auto base_vertices = vertex_keys(baseline);
+void add_structural_observations(
+    const std::set<std::string, std::less<>>& base_vertices,
+    const std::set<EdgeKey, std::less<>>& base_edges, const core::Dag& window,
+    std::vector<AxisObservation>& observations) {
   const auto window_vertices = vertex_keys(window);
   for (const auto& key : base_vertices) {
     if (window_vertices.count(key) == 0) {
@@ -115,26 +121,26 @@ void add_structural_observations(const core::Dag& baseline,
   for (const auto& key : window_vertices) {
     if (base_vertices.count(key) == 0) {
       observations.push_back(structural_observation(
-          DriftKind::VertexAdded, key,
+          DriftKind::VertexAdded, std::string(key),
           "window executed a callback the baseline model does not contain"));
     }
   }
 
-  const auto base_edges = edge_keys(baseline);
   const auto win_edges = edge_keys(window);
   for (const auto& [from, to, topic] : base_edges) {
-    if (win_edges.count(EdgeKey{from, to, topic}) == 0) {
+    if (win_edges.count(EdgeView{from, to, topic}) == 0) {
       observations.push_back(structural_observation(
           DriftKind::EdgeRemoved, from + " -> " + to,
           "baseline precedence relation on " + topic +
               " absent from the window"));
     }
   }
-  for (const auto& [from, to, topic] : win_edges) {
-    if (base_edges.count(EdgeKey{from, to, topic}) == 0) {
+  for (const auto& edge : win_edges) {
+    if (base_edges.count(edge) == 0) {
+      const auto& [from, to, topic] = edge;
       observations.push_back(structural_observation(
-          DriftKind::EdgeAdded, from + " -> " + to,
-          "window shows a precedence relation on " + topic +
+          DriftKind::EdgeAdded, std::string(from).append(" -> ").append(to),
+          "window shows a precedence relation on " + std::string(topic) +
               " the baseline lacks"));
     }
   }
@@ -147,6 +153,14 @@ DriftEngine::DriftEngine(SentinelConfig config)
 
 api::Result<api::SegmentInfo> DriftEngine::ingest_baseline(
     trace::EventVector events) {
+  baseline_.valid = false;
+  api::IngestOptions ingest;
+  ingest.trace_id = kBaselineTraceId;
+  return session_.ingest(std::move(events), ingest);
+}
+
+api::Result<api::SegmentInfo> DriftEngine::ingest_baseline(
+    trace::EventColumns events) {
   baseline_.valid = false;
   api::IngestOptions ingest;
   ingest.trace_id = kBaselineTraceId;
@@ -189,6 +203,18 @@ api::Error DriftEngine::ensure_baseline() {
   baseline_.model = std::move(model).take();
   baseline_.events = events.value().size();
   baseline_.exec_samples = collect_exec_samples(baseline_.model);
+  for (auto& [label, samples] : baseline_.exec_samples) {
+    // Sorted once, so every window's KS test re-sorts a sorted copy.
+    std::sort(samples.begin(), samples.end());
+  }
+  baseline_.vertex_keys.clear();
+  for (const auto& vertex : baseline_.model.dag.vertices()) {
+    baseline_.vertex_keys.insert(vertex.key);
+  }
+  baseline_.edge_keys.clear();
+  for (const auto& edge : baseline_.model.dag.edges()) {
+    baseline_.edge_keys.insert(EdgeKey{edge.from, edge.to, edge.topic});
+  }
   baseline_.chains.clear();
 
   const analysis::InstanceTimeline timeline(events.value());
@@ -227,21 +253,28 @@ api::Result<WindowAnalysis> DriftEngine::analyze_file(
 }
 
 api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
+  trace::sort_by_time(events);
+  trace::EventColumns columns;
+  columns.append(events);
+  return analyze(std::move(columns));
+}
+
+api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
   const api::Error error = ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
   ++window_counter_;
   SentinelMetrics::get().windows.inc();
   telemetry::ScopedSpan check_span("sentinel.check");
-  // The chain-latency axis reads the window's rows here; the session keeps
-  // only columns, so it never has to decode them back.
-  const analysis::InstanceTimeline timeline(events);
+  // The chain-latency axis reads the window's columns here, before the
+  // window session takes them over.
+  const analysis::InstanceTimeline timeline(events.view());
   const std::size_t window_events = events.size();
   api::SynthesisSession window_session(config_.synthesis);
   api::IngestOptions ingest;
   ingest.trace_id = "window";
   auto segment = window_session.ingest(std::move(events), ingest);
   if (!segment.ok()) return segment.error();
-  auto model = window_session.trace_model(ingest.trace_id);
+  auto model = std::move(window_session).trace_model(ingest.trace_id);
   if (!model.ok()) return model.error();
   const core::TimingModel& window = model.value();
 
@@ -255,8 +288,8 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
   verdict.window_edges = window.dag.edge_count();
 
   // Axis 1: structure (vertex and edge sets).
-  add_structural_observations(baseline_.model.dag, window.dag,
-                              analysis.observations);
+  add_structural_observations(baseline_.vertex_keys, baseline_.edge_keys,
+                              window.dag, analysis.observations);
 
   // Axis 2: per-callback execution-time distributions (two-sample KS on
   // the raw samples). The test runs from sequential_min_samples per side
@@ -395,7 +428,14 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
             });
   verdict.drifted = !verdict.findings.empty();
   for (const DriftFinding& finding : verdict.findings) {
-    SentinelMetrics::get().findings(finding.kind).inc();
+    // Registered on the kind's first finding, so kinds never found stay
+    // out of the snapshot.
+    telemetry::Counter*& counter =
+        finding_counters_[static_cast<std::size_t>(finding.kind)];
+    if (counter == nullptr) {
+      counter = &SentinelMetrics::get().findings(finding.kind);
+    }
+    counter->inc();
   }
   check_span.set_items(verdict.checks);
   return analysis;

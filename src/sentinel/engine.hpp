@@ -6,8 +6,12 @@
 // layer feeds into its sequential accumulators.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/latency.hpp"
@@ -16,7 +20,9 @@
 #include "core/model_synthesis.hpp"
 #include "sentinel/config.hpp"
 #include "sentinel/verdict.hpp"
+#include "telemetry/metrics.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::sentinel {
 
@@ -49,6 +55,7 @@ class DriftEngine {
   // -- baseline -----------------------------------------------------------
 
   api::Result<api::SegmentInfo> ingest_baseline(trace::EventVector events);
+  api::Result<api::SegmentInfo> ingest_baseline(trace::EventColumns events);
   api::Result<api::SegmentInfo> ingest_baseline_file(const std::string& path);
   api::Result<core::TimingModel> baseline_model();
   /// Synthesizes the baseline cache if dirty; InvalidArgument when no
@@ -62,6 +69,8 @@ class DriftEngine {
   /// Synthesizes `events` as one window (in an ephemeral session, so
   /// long streams do not accumulate per-window state) and compares it
   /// against the baseline.
+  api::Result<WindowAnalysis> analyze(trace::EventColumns events);
+  /// Same over rows: sorted by time, then encoded as columns.
   api::Result<WindowAnalysis> analyze(trace::EventVector events);
   /// Reads a JSONL or .ttb trace file and analyzes it as one window.
   api::Result<WindowAnalysis> analyze_file(const std::string& path);
@@ -83,6 +92,10 @@ class DriftEngine {
     std::size_t events = 0;
     /// Per-label raw execution-time samples (ns), KS baseline side.
     std::map<std::string, std::vector<double>> exec_samples;
+    /// Vertex keys and (from, to, topic) edge keys, structural side.
+    std::set<std::string, std::less<>> vertex_keys;
+    std::set<std::tuple<std::string, std::string, std::string>, std::less<>>
+        edge_keys;
     std::vector<BaselineChain> chains;
   };
 
@@ -90,6 +103,10 @@ class DriftEngine {
   api::SynthesisSession session_;  ///< baseline segments only
   BaselineCache baseline_;
   std::size_t window_counter_ = 0;
+  /// The sentinel.findings counter of each DriftKind, once looked up.
+  std::array<telemetry::Counter*,
+             static_cast<std::size_t>(DriftKind::DeadlineViolation) + 1>
+      finding_counters_{};
 };
 
 }  // namespace tetra::sentinel

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
+#include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
+#include "trace/event_view.hpp"
+#include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
@@ -31,21 +34,6 @@ struct StreamMetrics {
     return metrics;
   }
 };
-
-/// Shifts an event batch along the stream clock. Embedded source
-/// timestamps (the write/take matching key) must move together with the
-/// event times or cross-segment windows never match publications.
-void shift_events(trace::EventVector& events, Duration offset) {
-  for (trace::TraceEvent& event : events) {
-    event.time += offset;
-    if (auto* take = std::get_if<trace::TakeInfo>(&event.payload)) {
-      take->src_ts += offset;
-    } else if (auto* write =
-                   std::get_if<trace::DdsWriteInfo>(&event.payload)) {
-      write->src_ts += offset;
-    }
-  }
-}
 
 /// The mutation axes drift localization ranks, in rank-tie order.
 constexpr const char* kAxisDropEdge = "drop-edge";
@@ -110,8 +98,7 @@ api::Result<DriftVerdict> StreamSentinel::check_window_file(
   return std::move(analysis).take().verdict;
 }
 
-api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
-    trace::EventVector events) {
+api::Error StreamSentinel::check_ready() {
   const Duration span = config_.window_span;
   const Duration advance = config_.window_advance;
   if (span.count_ns() <= 0 || advance.count_ns() <= 0) {
@@ -125,86 +112,172 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
         "never be checked",
         "stream"};
   }
-  const api::Error baseline_error = engine_.ensure_baseline();
-  if (baseline_error.code != api::ErrorCode::None) return baseline_error;
+  return engine_.ensure_baseline();
+}
 
-  telemetry::ScopedSpan stream_span("sentinel.stream");
-  trace::sort_by_time(events);
-
-  if (config_.rebase_segments && have_origin_ && !events.empty()) {
-    const Duration offset =
-        (stream_end_ + config_.rebase_gap) - events.front().time;
-    shift_events(events, offset);
-  }
-  if (!config_.rebase_segments && have_origin_) {
-    // Late events precede the window the stream already committed to;
-    // dropping them keeps verdicts append-only and deterministic.
-    auto fresh = std::partition_point(
-        events.begin(), events.end(), [&](const trace::TraceEvent& e) {
-          return e.time < window_start_;
-        });
-    late_events_ += static_cast<std::size_t>(fresh - events.begin());
-    events.erase(events.begin(), fresh);
-  }
-  if (!events.empty()) {
-    if (!have_origin_) {
-      have_origin_ = true;
-      window_start_ = events.front().time;
-      stream_end_ = events.front().time;
-    }
-    stream_end_ = std::max(stream_end_, events.back().time);
-    for (const trace::TraceEvent& event : events) {
-      if (event.type == trace::EventType::RmwCreateNode) {
-        node_events_[event.pid] = event;
-      }
-    }
-    const std::size_t old_size = buffer_.size();
-    buffer_.insert(buffer_.end(), events.begin(), events.end());
-    std::inplace_merge(buffer_.begin(),
-                       buffer_.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       buffer_.end(),
-                       [](const trace::TraceEvent& a,
-                          const trace::TraceEvent& b) {
-                         return a.time < b.time;
-                       });
-  }
-
-  auto verdicts = advance_windows();
-  if (verdicts.ok()) {
-    stream_span.set_items(verdicts.value().size());
-  }
-  return verdicts;
+api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
+    trace::EventVector events) {
+  if (!trace::is_time_sorted(events)) trace::sort_by_time(events);
+  trace::EventColumns batch;
+  batch.append(events);
+  return feed_sorted(batch.view());
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
     const std::string& path) {
-  trace::EventVector events;
+  std::optional<trace::TtbReader> file;
+  trace::EventVector rows;
   try {
-    events = trace::read_trace_file(path);
+    if (trace::is_ttb_file(path)) {
+      file.emplace(path);
+    } else {
+      rows = trace::read_jsonl_file(path);
+    }
+    // Rows out of time order take the sorting rows path.
+    if (file.has_value() && !trace::is_time_sorted(file->view())) {
+      rows = file->materialize();
+      file.reset();
+    }
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }
-  return feed(std::move(events));
+  // A time-sorted .ttb file goes from its mapped columns straight into
+  // the buffer.
+  if (file.has_value()) return feed_sorted(file->view());
+  return feed(std::move(rows));
 }
 
-trace::EventVector StreamSentinel::window_slice(TimePoint begin,
-                                                TimePoint end) const {
-  trace::EventVector slice;
+api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_sorted(
+    const trace::ColumnsView& batch) {
+  const api::Error error = check_ready();
+  if (error.code != api::ErrorCode::None) return error;
+  telemetry::ScopedSpan stream_span("sentinel.stream");
+  std::size_t late = 0;
+  if (!config_.rebase_segments && have_origin_) {
+    // Late events precede the window the stream already committed to;
+    // dropping them keeps verdicts append-only and deterministic.
+    const std::int64_t start = window_start_.count_ns();
+    late = static_cast<std::size_t>(
+        std::partition_point(batch.time, batch.time + batch.count,
+                             [&](std::int64_t t) { return t < start; }) -
+        batch.time);
+    late_events_ += late;
+  }
+  const std::size_t base = buffer_.size();
+  buffer_.append(batch.slice(late, batch.count - late));
+  const std::size_t end = buffer_.size();
+  if (end > base) {
+    if (config_.rebase_segments && have_origin_) {
+      std::int64_t offset = 0;
+      if (__builtin_sub_overflow(
+              (stream_end_ + config_.rebase_gap).count_ns(),
+              buffer_.view().time[base], &offset) ||
+          !buffer_.shift_time(base, offset)) {
+        buffer_.truncate(base);
+        return api::Error{api::ErrorCode::InvalidArgument,
+                          "rebased segment leaves the timestamp range",
+                          "stream"};
+      }
+    }
+    const trace::ColumnsView rows = buffer_.view();
+    if (!have_origin_) {
+      have_origin_ = true;
+      window_start_ = TimePoint{rows.time[base]};
+      stream_end_ = window_start_;
+    }
+    stream_end_ = std::max(stream_end_, TimePoint{rows.time[end - 1]});
+    update_node_table(base);
+    buffer_.merge_tail(base);
+  }
+  auto verdicts = advance_windows();
+  if (verdicts.ok()) stream_span.set_items(verdicts.value().size());
+  return verdicts;
+}
+
+void StreamSentinel::update_node_table(std::size_t from) {
+  const trace::ColumnsView batch = buffer_.view();
+  const trace::ColumnsView table = node_rows_.view();
+  // pid -> (source, row) of the row naming it: the table's rows, replaced
+  // by the batch's in batch order, so the latest one fed wins.
+  std::map<Pid, std::pair<const trace::ColumnsView*, std::size_t>> latest;
+  for (std::size_t i = from; i < batch.count; ++i) {
+    if (static_cast<trace::EventType>(batch.type[i]) ==
+        trace::EventType::RmwCreateNode) {
+      latest[static_cast<Pid>(batch.pid[i])] = {&batch, i};
+    }
+  }
+  if (latest.empty()) return;
+  for (std::size_t i = 0; i < table.count; ++i) {
+    latest.try_emplace(static_cast<Pid>(table.pid[i]), &table, i);
+  }
+  trace::EventColumns rebuilt;
+  std::vector<std::uint32_t> batch_remap(batch.string_count,
+                                         trace::EventColumns::npos);
+  std::vector<std::uint32_t> table_remap(table.string_count,
+                                         trace::EventColumns::npos);
+  for (const auto& [pid, source] : latest) {
+    rebuilt.append(source.first->slice(source.second, 1),
+                   source.first == &batch ? batch_remap : table_remap);
+  }
+  node_rows_ = std::move(rebuilt);
+}
+
+std::size_t StreamSentinel::first_row_at(TimePoint t) const {
+  const trace::ColumnsView rows = buffer_.view();
+  const std::int64_t ns = t.count_ns();
+  return static_cast<std::size_t>(
+      std::partition_point(rows.time, rows.time + rows.count,
+                           [&](std::int64_t time) { return time < ns; }) -
+      rows.time);
+}
+
+trace::EventColumns StreamSentinel::window_columns(TimePoint begin,
+                                                   TimePoint end) const {
+  const trace::ColumnsView rows = buffer_.view();
+  const trace::ColumnsView nodes = node_rows_.view();
+  const std::size_t lo = first_row_at(begin);
+  const std::size_t hi = first_row_at(end);
+  trace::EventColumns window;
+  window.reserve(nodes.count + (hi - lo));
+  std::vector<std::uint32_t> row_remap(rows.string_count,
+                                       trace::EventColumns::npos);
+  std::vector<std::uint32_t> node_remap(nodes.string_count,
+                                        trace::EventColumns::npos);
+  // Buffered rows [from, to) minus their RmwCreateNode rows, which the
+  // node table already carries.
+  const auto copy_rows = [&](std::size_t from, std::size_t to) {
+    std::size_t run = from;
+    for (std::size_t i = from; i < to; ++i) {
+      if (static_cast<trace::EventType>(rows.type[i]) ==
+          trace::EventType::RmwCreateNode) {
+        if (i > run) window.append(rows.slice(run, i - run), row_remap);
+        run = i + 1;
+      }
+    }
+    if (to > run) window.append(rows.slice(run, to - run), row_remap);
+  };
   // The sticky node table rides along even when the creation events fall
   // outside the window: extraction resolves node names by pid, not time.
-  for (const auto& [pid, event] : node_events_) slice.push_back(event);
-  const auto lo = std::partition_point(
-      buffer_.begin(), buffer_.end(),
-      [&](const trace::TraceEvent& e) { return e.time < begin; });
-  const auto hi = std::partition_point(
-      lo, buffer_.end(),
-      [&](const trace::TraceEvent& e) { return e.time < end; });
-  for (auto it = lo; it != hi; ++it) {
-    if (it->type == trace::EventType::RmwCreateNode) continue;  // already in
-    slice.push_back(*it);
+  // Each node row goes before the buffered rows of its own time.
+  std::vector<std::size_t> node_order(nodes.count);
+  std::iota(node_order.begin(), node_order.end(), std::size_t{0});
+  std::stable_sort(node_order.begin(), node_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return nodes.time[a] < nodes.time[b];
+                   });
+  std::size_t next = lo;
+  for (const std::size_t node : node_order) {
+    const std::int64_t t = nodes.time[node];
+    const std::size_t until = static_cast<std::size_t>(
+        std::partition_point(rows.time + next, rows.time + hi,
+                             [&](std::int64_t time) { return time < t; }) -
+        rows.time);
+    copy_rows(next, until);
+    next = until;
+    window.append(nodes.slice(node, 1), node_remap);
   }
-  trace::sort_by_time(slice);
-  return slice;
+  copy_rows(next, hi);
+  return window;
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
@@ -216,20 +289,19 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
   while (stream_end_ - window_start_ >= span) {
     const TimePoint begin = window_start_;
     const TimePoint end = begin + span;
-    trace::EventVector slice = window_slice(begin, end);
-    const bool empty = slice.size() <= node_events_.size();
+    trace::EventColumns window = window_columns(begin, end);
+    const bool empty = window.size() <= node_rows_.size();
     if (empty) {
       // A gap in the stream (e.g. a large rebase jump): skip empty
       // windows in one step instead of evaluating vacuous total drift
       // once per advance.
-      const auto next = std::partition_point(
-          buffer_.begin(), buffer_.end(),
-          [&](const trace::TraceEvent& e) { return e.time < begin; });
-      if (next == buffer_.end()) {
+      const std::size_t next = first_row_at(begin);
+      if (next == buffer_.size()) {
         // Nothing buffered ahead either; wait for more data.
         break;
       }
-      const std::int64_t gap_ns = (next->time - begin).count_ns();
+      const std::int64_t gap_ns =
+          buffer_.view().time[next] - begin.count_ns();
       const std::int64_t steps =
           std::max<std::int64_t>(1, gap_ns / advance.count_ns());
       windows_skipped_empty_ += static_cast<std::size_t>(steps);
@@ -238,9 +310,10 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
       continue;
     }
 
-    auto analysis = engine_.analyze(std::move(slice));
+    auto analysis = engine_.analyze(std::move(window));
     if (!analysis.ok()) return analysis.error();
-    WindowVerdict verdict = evaluate_window(begin, end, analysis.value());
+    WindowVerdict verdict =
+        evaluate_window(begin, end, std::move(analysis).take());
 
     if (config_.refresh_after > 0 && !verdict.alarmed &&
         verdict.window_drifted &&
@@ -262,15 +335,10 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
     if (config_.refresh_after > 0) {
       retain = advance * static_cast<std::int64_t>(config_.refresh_after);
     }
-    const TimePoint evict_before = window_start_ - retain;
-    const auto keep = std::partition_point(
-        buffer_.begin(), buffer_.end(),
-        [&](const trace::TraceEvent& e) { return e.time < evict_before; });
-    buffer_.erase(buffer_.begin(), keep);
+    buffer_.erase_front(first_row_at(window_start_ - retain));
   }
   return verdicts;
 }
-
 CusumAccumulator StreamSentinel::make_accumulator(DriftKind kind) const {
   switch (kind) {
     case DriftKind::VertexAdded:
@@ -302,18 +370,17 @@ CusumAccumulator StreamSentinel::make_accumulator(DriftKind kind) const {
 }
 
 WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
-                                              const WindowAnalysis& analysis) {
+                                              WindowAnalysis analysis) {
   WindowVerdict verdict;
   verdict.index = window_index_;
   verdict.begin = begin;
   verdict.end = end;
   verdict.events = analysis.verdict.window_events;
   verdict.checks = analysis.verdict.checks;
-  verdict.transient = analysis.verdict.findings;
+  verdict.transient = std::move(analysis.verdict.findings);
   verdict.window_drifted = analysis.verdict.drifted;
 
   // Feed this window's observations into the sequential accumulators.
-  std::set<AccumulatorKey> observed;
   for (const AxisObservation& obs : analysis.observations) {
     if (obs.kind == DriftKind::DeadlineViolation) {
       // Hard violations alarm immediately; there is nothing to
@@ -329,10 +396,12 @@ WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
       verdict.alarms.push_back(std::move(finding));
       continue;
     }
-    const AccumulatorKey key{obs.kind, obs.subject};
-    auto [it, inserted] =
-        accumulators_.try_emplace(key, make_accumulator(obs.kind));
-    CusumAccumulator& acc = it->second;
+    Evidence& evidence =
+        evidence_
+            .try_emplace(AccumulatorKey{obs.kind, obs.subject},
+                         make_accumulator(obs.kind))
+            .first->second;
+    CusumAccumulator& acc = evidence.acc;
     if (obs.kind == DriftKind::ExecTimeShift) {
       if (obs.n_baseline < config_.sequential_min_samples ||
           obs.n_window < config_.sequential_min_samples) {
@@ -343,26 +412,29 @@ WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
     } else {
       acc.observe(obs.value);
     }
-    observed.insert(key);
+    evidence.observed_in = window_index_;
     if (!obs.detail.empty()) {
-      last_details_[key] = obs.detail;
+      evidence.last_detail = obs.detail;
     } else if (obs.kind == DriftKind::ExecTimeShift) {
-      last_details_[key] = "KS D = " + format_double(obs.value);
+      evidence.last_detail = "KS D = " + format_double(obs.value);
     }
   }
   // Structural accumulators decay over windows where the difference is
   // gone (the debounce half of the hysteresis); the delta axes re-observe
   // every window by construction, so only structural keys need this.
-  for (auto& [key, acc] : accumulators_) {
+  for (auto& [key, evidence] : evidence_) {
     const bool structural = key.first == DriftKind::VertexAdded ||
                             key.first == DriftKind::VertexRemoved ||
                             key.first == DriftKind::EdgeAdded ||
                             key.first == DriftKind::EdgeRemoved;
-    if (structural && observed.count(key) == 0) acc.observe(0.0);
+    if (structural && evidence.observed_in != window_index_) {
+      evidence.acc.observe(0.0);
+    }
   }
 
   // Emit an alarm for every accumulator over its budgeted level.
-  for (const auto& [key, acc] : accumulators_) {
+  for (const auto& [key, evidence] : evidence_) {
+    const CusumAccumulator& acc = evidence.acc;
     if (!acc.crossed()) continue;
     DriftFinding finding;
     finding.kind = key.first;
@@ -382,9 +454,8 @@ WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
                          " windows (S = " + format_double(acc.value()) +
                          ", threshold = " + format_double(acc.threshold()) +
                          ")";
-    const auto detail_it = last_details_.find(key);
-    if (detail_it != last_details_.end() && !detail_it->second.empty()) {
-      detail += "; last window: " + detail_it->second;
+    if (!evidence.last_detail.empty()) {
+      detail += "; last window: " + evidence.last_detail;
     }
     finding.detail = std::move(detail);
     verdict.alarms.push_back(std::move(finding));
@@ -418,7 +489,8 @@ std::vector<AxisScore> StreamSentinel::localize() const {
   // confident-looking localization out of nothing.
   constexpr double kMinFraction = 0.1;
   std::map<std::string, double> scores;
-  for (const auto& [key, acc] : accumulators_) {
+  for (const auto& [key, evidence] : evidence_) {
+    const CusumAccumulator& acc = evidence.acc;
     if (acc.value() <= 0.0) continue;
     const double fraction =
         acc.threshold() > 0.0 ? std::min(1.0, acc.value() / acc.threshold())
@@ -451,15 +523,14 @@ api::Error StreamSentinel::refresh_baseline_from_stream(TimePoint window_begin,
       window_begin -
       config_.window_advance *
           static_cast<std::int64_t>(config_.refresh_after - 1);
-  trace::EventVector fold = window_slice(fold_begin, window_end);
+  trace::EventColumns fold = window_columns(fold_begin, window_end);
   engine_.reset_baseline();
   auto ingested = engine_.ingest_baseline(std::move(fold));
   if (!ingested.ok()) return ingested.error();
   const api::Error error = engine_.ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
   // The old evidence measured distance to the retired baseline.
-  accumulators_.clear();
-  last_details_.clear();
+  evidence_.clear();
   consecutive_shifted_ = 0;
   ++refreshes_;
   StreamMetrics::get().refreshes.inc();

@@ -34,6 +34,7 @@
 #include "support/statistics.hpp"
 #include "support/time.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::sentinel {
 
@@ -68,10 +69,14 @@ class StreamSentinel {
   /// geometry is invalid (advance > span, non-positive span/advance) or
   /// no baseline was ingested. With config.rebase_segments each batch
   /// after the first is shifted to start rebase_gap after the previous
-  /// batch's last event; without it, events older than the current
-  /// window start are dropped (and counted in late_events()).
+  /// batch's last event (InvalidArgument, and the batch is not fed, when
+  /// that would move a timestamp out of trace::kTimestampLimitNs);
+  /// without it, events older than the current window start are dropped
+  /// (and counted in late_events()).
   api::Result<std::vector<WindowVerdict>> feed(trace::EventVector events);
-  /// Reads a JSONL or .ttb trace file and feeds it as one batch.
+  /// Reads a JSONL or .ttb trace file and feeds it as one batch. A
+  /// time-sorted .ttb file is appended from its mapped columns without
+  /// decoding rows.
   api::Result<std::vector<WindowVerdict>> feed_file(const std::string& path);
 
   // -- introspection ------------------------------------------------------
@@ -93,38 +98,59 @@ class StreamSentinel {
   /// One sequential accumulator per (axis, subject).
   using AccumulatorKey = std::pair<DriftKind, std::string>;
 
+  /// Geometry and baseline checks every feed starts with.
+  api::Error check_ready();
+  /// Feeds one time-sorted batch: drops its late rows, appends the rest
+  /// to the buffer, rebases them, updates the node table, merges them
+  /// into the buffer's time order and closes every window they complete.
+  api::Result<std::vector<WindowVerdict>> feed_sorted(
+      const trace::ColumnsView& batch);
+  /// Replaces node-table rows by the batch's RmwCreateNode rows
+  /// (buffer rows [from, size()), still in batch order).
+  void update_node_table(std::size_t from);
+  /// First buffered row at or after `t`.
+  std::size_t first_row_at(TimePoint t) const;
   api::Result<std::vector<WindowVerdict>> advance_windows();
   WindowVerdict evaluate_window(TimePoint begin, TimePoint end,
-                                const WindowAnalysis& analysis);
+                                WindowAnalysis analysis);
   /// Folds the last refresh_after windows into a new baseline.
   api::Error refresh_baseline_from_stream(TimePoint window_begin,
                                           TimePoint window_end);
   CusumAccumulator make_accumulator(DriftKind kind) const;
   std::vector<AxisScore> localize() const;
-  trace::EventVector window_slice(TimePoint begin, TimePoint end) const;
+  /// The window [begin, end) as columns: the node table plus the buffered
+  /// rows in range except their RmwCreateNode rows, in time order with
+  /// node-table rows first among equal times.
+  trace::EventColumns window_columns(TimePoint begin, TimePoint end) const;
 
   SentinelConfig config_;
   DriftEngine engine_;
 
   /// Buffered stream events, time-sorted; evicted behind the window (plus
   /// the refresh horizon when auto-refresh is enabled).
-  trace::EventVector buffer_;
-  /// Sticky node table: the latest RmwCreateNode event per pid. Node
-  /// creation happens once at process start, so mid-stream windows would
-  /// otherwise synthesize nameless callbacks whose vertex keys all differ
-  /// from the baseline — every clean window would look like total
-  /// structural drift. The table is prepended to every window slice.
-  std::map<Pid, trace::TraceEvent> node_events_;
+  trace::EventColumns buffer_;
+  /// Sticky node table: the latest RmwCreateNode row per pid, in pid
+  /// order. Node creation happens once at process start, so mid-stream
+  /// windows would otherwise synthesize nameless callbacks whose vertex
+  /// keys all differ from the baseline — every clean window would look
+  /// like total structural drift. Every window carries the table.
+  trace::EventColumns node_rows_;
 
   bool have_origin_ = false;
   TimePoint window_start_;
   TimePoint stream_end_;
   std::size_t window_index_ = 0;
 
-  std::map<AccumulatorKey, CusumAccumulator> accumulators_;
-  /// Detail/value of the last observation per accumulator, for alarm
-  /// rendering.
-  std::map<AccumulatorKey, std::string> last_details_;
+  /// The sequential accumulator of one (axis, subject).
+  struct Evidence {
+    explicit Evidence(CusumAccumulator accumulator) : acc(accumulator) {}
+    CusumAccumulator acc;
+    /// Detail/value of the last observation, for alarm rendering.
+    std::string last_detail;
+    /// Index of the last window that observed it.
+    std::size_t observed_in = static_cast<std::size_t>(-1);
+  };
+  std::map<AccumulatorKey, Evidence> evidence_;
 
   std::size_t consecutive_shifted_ = 0;
   std::size_t windows_advanced_ = 0;

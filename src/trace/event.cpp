@@ -69,6 +69,14 @@ CallbackKind callback_kind_from_int(std::int64_t value) {
   return static_cast<CallbackKind>(value);
 }
 
+std::int64_t checked_timestamp(std::int64_t ns) {
+  if (!timestamp_in_range(ns)) {
+    throw std::invalid_argument("timestamp out of range: " +
+                                std::to_string(ns));
+  }
+  return ns;
+}
+
 TraceEvent make_node_event(TimePoint t, Pid pid, std::string node_name) {
   return TraceEvent{t, pid, ProbeId::P1_RmwCreateNode, EventType::RmwCreateNode,
                     NodeInfo{std::move(node_name)}};

@@ -112,6 +112,16 @@ TakeKind take_kind_from_int(std::int64_t value);
 ThreadRunState thread_run_state_from_char(char state);
 CallbackKind callback_kind_from_int(std::int64_t value);
 
+/// Event times and embedded source timestamps lie strictly within
+/// ±kTimestampLimitNs (2^62 ns, about 146 years), so the difference of
+/// any two is representable. Trace readers reject values outside.
+inline constexpr std::int64_t kTimestampLimitNs = std::int64_t{1} << 62;
+inline bool timestamp_in_range(std::int64_t ns) {
+  return ns > -kTimestampLimitNs && ns < kTimestampLimitNs;
+}
+/// Returns `ns`, or raises std::invalid_argument when it is out of range.
+std::int64_t checked_timestamp(std::int64_t ns);
+
 using EventPayload =
     std::variant<NodeInfo, CallbackPhaseInfo, TimerCallInfo, TakeInfo,
                  TakeTypeErasedInfo, SyncOperatorInfo, DdsWriteInfo,

@@ -1,6 +1,8 @@
 #include "trace/event_columns.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace tetra::trace {
 
@@ -66,14 +68,7 @@ std::uint32_t EventColumns::lookup(std::string_view s) const {
 
 void EventColumns::reserve(std::size_t additional_events) {
   const std::size_t target = time_.size() + additional_events;
-  time_.reserve(target);
-  arg_a_.reserve(target);
-  arg_b_.reserve(target);
-  pid_.reserve(target);
-  arg_c_.reserve(target);
-  probe_.reserve(target);
-  type_.reserve(target);
-  aux_.reserve(target);
+  for_each_column([target](auto& column) { column.reserve(target); });
 }
 
 void EventColumns::append(const TraceEvent& e) {
@@ -143,6 +138,12 @@ void EventColumns::append(const EventVector& events) {
 }
 
 void EventColumns::append(const ColumnsView& v) {
+  std::vector<std::uint32_t> remap(v.string_count, npos);
+  append(v, remap);
+}
+
+void EventColumns::append(const ColumnsView& v,
+                          std::vector<std::uint32_t>& remap) {
   const std::size_t base = size();
   time_.insert(time_.end(), v.time, v.time + v.count);
   arg_a_.insert(arg_a_.end(), v.arg_a, v.arg_a + v.count);
@@ -154,7 +155,6 @@ void EventColumns::append(const ColumnsView& v) {
   aux_.insert(aux_.end(), v.aux, v.aux + v.count);
   // String-bearing rows index the source view's table; rewrite them to
   // indices in our own, interning each distinct source string once.
-  std::vector<std::uint32_t> remap(v.string_count, npos);
   for (std::size_t i = 0; i < v.count; ++i) {
     switch (static_cast<EventType>(v.type[i])) {
       case EventType::RmwCreateNode:
@@ -174,6 +174,67 @@ void EventColumns::append(const ColumnsView& v) {
         break;
     }
   }
+}
+
+void EventColumns::erase_front(std::size_t n) {
+  n = std::min(n, size());
+  for_each_column([n](auto& column) {
+    column.erase(column.begin(),
+                 column.begin() + static_cast<std::ptrdiff_t>(n));
+  });
+}
+
+bool EventColumns::shift_time(std::size_t from, std::int64_t offset_ns) {
+  const auto carries_source_ts = [&](std::size_t i) {
+    const auto type = static_cast<EventType>(type_[i]);
+    return type == EventType::Take || type == EventType::DdsWrite;
+  };
+  const auto shifts_in_range = [&](std::int64_t ns) {
+    std::int64_t shifted = 0;
+    return !__builtin_add_overflow(ns, offset_ns, &shifted) &&
+           timestamp_in_range(shifted);
+  };
+  for (std::size_t i = from; i < size(); ++i) {
+    if (!shifts_in_range(time_[i]) ||
+        (carries_source_ts(i) && !shifts_in_range(arg_b_[i]))) {
+      return false;
+    }
+  }
+  for (std::size_t i = from; i < size(); ++i) {
+    time_[i] += offset_ns;
+    if (carries_source_ts(i)) arg_b_[i] += offset_ns;
+  }
+  return true;
+}
+
+void EventColumns::truncate(std::size_t n) {
+  if (n >= size()) return;
+  for_each_column([n](auto& column) { column.resize(n); });
+}
+
+void EventColumns::merge_tail(std::size_t from) {
+  const std::size_t n = size();
+  if (from == 0 || from >= n || time_[from - 1] <= time_[from]) return;
+  // Rows no later than the tail's first row keep their place.
+  const std::size_t first = static_cast<std::size_t>(
+      std::upper_bound(time_.begin(),
+                       time_.begin() + static_cast<std::ptrdiff_t>(from),
+                       time_[from]) -
+      time_.begin());
+  std::vector<std::size_t> order;
+  order.reserve(n - first);
+  std::size_t a = first;
+  std::size_t b = from;
+  while (a < from && b < n) order.push_back(time_[b] < time_[a] ? b++ : a++);
+  while (a < from) order.push_back(a++);
+  while (b < n) order.push_back(b++);
+  for_each_column([&](auto& column) {
+    std::remove_reference_t<decltype(column)> merged;
+    merged.reserve(order.size());
+    for (const std::size_t i : order) merged.push_back(column[i]);
+    std::copy(merged.begin(), merged.end(),
+              column.begin() + static_cast<std::ptrdiff_t>(first));
+  });
 }
 
 ColumnsView EventColumns::view() const {
@@ -265,11 +326,15 @@ EventVector materialize(const ColumnsView& view) {
 void validate_columns(const ColumnsView& v) {
   for (std::size_t i = 0; i < v.count; ++i) {
     try {
+      checked_timestamp(v.time[i]);
       probe_id_from_int(v.probe[i]);
       const EventType type = event_type_from_int(v.type[i]);
       switch (type) {
         case EventType::RmwCreateNode:
+          v.str(v.arg_c[i]);
+          break;
         case EventType::DdsWrite:
+          checked_timestamp(v.arg_b[i]);
           v.str(v.arg_c[i]);
           break;
         case EventType::CallbackStart:
@@ -278,6 +343,7 @@ void validate_columns(const ColumnsView& v) {
           break;
         case EventType::Take:
           take_kind_from_int(v.aux[i]);
+          checked_timestamp(v.arg_b[i]);
           v.str(v.arg_c[i]);
           break;
         case EventType::SchedSwitch:

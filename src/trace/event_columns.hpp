@@ -86,7 +86,8 @@ struct ColumnsView {
 /// True when the rows are non-decreasing in time.
 bool is_time_sorted(const ColumnsView& view);
 
-/// Owning, append-only columnar store.
+/// Owning columnar store: appends, plus the few in-place edits a stream
+/// buffer needs (prefix eviction, clock shift, merging a late tail).
 class EventColumns {
  public:
   static constexpr std::uint32_t npos = static_cast<std::uint32_t>(-1);
@@ -98,13 +99,32 @@ class EventColumns {
   /// Bulk append; fixed columns are copied, and each distinct string the
   /// view's rows reference is re-interned once.
   void append(const ColumnsView& view);
+  /// Same, with a remap table the caller keeps across appends from one
+  /// string table: remap[s] is the index the view's string s was interned
+  /// under here, npos until first use. It must have view.string_count
+  /// entries.
+  void append(const ColumnsView& view, std::vector<std::uint32_t>& remap);
+
+  /// Drops rows [0, n); the string table is kept.
+  void erase_front(std::size_t n);
+  /// Keeps rows [0, n) and drops the rest; the string table is kept.
+  void truncate(std::size_t n);
+  /// Moves rows [from, size()) along the clock by `offset_ns`: the event
+  /// times and the embedded source timestamps (the arg_b of Take and
+  /// DdsWrite rows, the write/take matching key) shift together. Returns
+  /// false, changing nothing, when a shifted value would leave the
+  /// timestamp range (kTimestampLimitNs).
+  bool shift_time(std::size_t from, std::int64_t offset_ns);
+  /// Stably merges the time-sorted rows [from, size()) into the
+  /// time-sorted rows before them; ties keep the earlier rows first.
+  void merge_tail(std::size_t from);
 
   void reserve(std::size_t additional_events);
 
   std::size_t size() const { return time_.size(); }
   bool empty() const { return time_.empty(); }
 
-  /// View over the current content. Invalidated by any append.
+  /// View over the current content. Invalidated by any append or edit.
   ColumnsView view() const;
 
   /// Interns a string, returning its table index ("" is always 0).
@@ -114,6 +134,19 @@ class EventColumns {
   std::uint32_t lookup(std::string_view s) const;
 
  private:
+  /// Applies `f` to every fixed-width column.
+  template <typename F>
+  void for_each_column(F&& f) {
+    f(time_);
+    f(arg_a_);
+    f(arg_b_);
+    f(pid_);
+    f(arg_c_);
+    f(probe_);
+    f(type_);
+    f(aux_);
+  }
+
   std::vector<std::int64_t> time_;
   std::vector<std::uint64_t> arg_a_;
   std::vector<std::int64_t> arg_b_;

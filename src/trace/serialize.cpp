@@ -95,7 +95,7 @@ std::string to_jsonl(const TraceEvent& e) {
 TraceEvent from_jsonl(std::string_view line) {
   const JsonValue j = parse_json(line);
   TraceEvent e;
-  e.time = TimePoint{j.at("t").as_int()};
+  e.time = TimePoint{checked_timestamp(j.at("t").as_int())};
   e.pid = static_cast<Pid>(j.at("pid").as_int());
   e.probe = probe_id_from_string(j.at("probe").as_string());
   e.type = event_type_from_string(j.at("type").as_string());
@@ -124,7 +124,7 @@ TraceEvent from_jsonl(std::string_view line) {
       info.kind = take_kind_from_int(j.at("take_kind").as_int());
       info.callback_id = static_cast<CallbackId>(j.at("cb").as_int());
       info.topic = j.at("topic").as_string();
-      info.src_ts = TimePoint{j.at("src_ts").as_int()};
+      info.src_ts = TimePoint{checked_timestamp(j.at("src_ts").as_int())};
       e.payload = std::move(info);
       break;
     }
@@ -136,8 +136,9 @@ TraceEvent from_jsonl(std::string_view line) {
           static_cast<CallbackId>(j.at("cb").as_int())};
       break;
     case EventType::DdsWrite:
-      e.payload = DdsWriteInfo{j.at("topic").as_string(),
-                               TimePoint{j.at("src_ts").as_int()}};
+      e.payload = DdsWriteInfo{
+          j.at("topic").as_string(),
+          TimePoint{checked_timestamp(j.at("src_ts").as_int())}};
       break;
     case EventType::SchedSwitch: {
       SchedSwitchInfo info;

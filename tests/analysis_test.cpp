@@ -10,7 +10,9 @@
 #include "analysis/response_time.hpp"
 #include "core/dag_builder.hpp"
 #include "ebpf/tracers.hpp"
+#include "trace/event_columns.hpp"
 #include "trace/merge.hpp"
+#include "trace/serialize.hpp"
 #include "workloads/avp_localization.hpp"
 #include "workloads/syn_app.hpp"
 
@@ -279,6 +281,70 @@ TEST(LatencyTest, WaitingTimesNonNegative) {
     // Waiting under light load should be well under 50 ms.
     EXPECT_LT(samples.quantile(0.5), Duration::ms(50).count_ns());
   }
+}
+
+/// Asserts two timelines hold the same instances and the same data-flow
+/// lookups for every sample written in `events`.
+void expect_same_timeline(const InstanceTimeline& expected,
+                          const InstanceTimeline& actual,
+                          const trace::EventVector& events) {
+  ASSERT_EQ(actual.instances().size(), expected.instances().size());
+  for (std::size_t i = 0; i < expected.instances().size(); ++i) {
+    const CallbackInstance& a = expected.instances()[i];
+    const CallbackInstance& b = actual.instances()[i];
+    EXPECT_EQ(b.pid, a.pid) << i;
+    EXPECT_EQ(b.callback_id, a.callback_id) << i;
+    EXPECT_EQ(b.kind, a.kind) << i;
+    EXPECT_EQ(b.start, a.start) << i;
+    EXPECT_EQ(b.end, a.end) << i;
+    EXPECT_EQ(b.take, a.take) << i;
+    EXPECT_EQ(b.writes, a.writes) << i;
+  }
+  std::size_t writes = 0;
+  for (const auto& event : events) {
+    if (event.type != trace::EventType::DdsWrite) continue;
+    const auto& info = event.as<trace::DdsWriteInfo>();
+    ++writes;
+    EXPECT_EQ(actual.writes_on(info.topic), expected.writes_on(info.topic));
+    const auto want = expected.consumers_of(info.topic, info.src_ts);
+    const auto got = actual.consumers_of(info.topic, info.src_ts);
+    ASSERT_EQ(got.size(), want.size()) << info.topic;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      // Same position in each timeline's own instance list.
+      EXPECT_EQ(got[k] - actual.instances().data(),
+                want[k] - expected.instances().data());
+    }
+  }
+  EXPECT_GT(writes, 0u);
+}
+
+TEST(LatencyTest, ColumnsTimelineMatchesRowsOnGoldenTrace) {
+  const trace::EventVector events = trace::read_jsonl_file(
+      std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl");
+  trace::EventColumns columns;
+  columns.append(events);
+  const InstanceTimeline from_rows(events);
+  const InstanceTimeline from_columns(columns.view());
+  EXPECT_GT(from_rows.instances().size(), 100u);
+  expect_same_timeline(from_rows, from_columns, events);
+
+  // Unsorted input: the second half moved in front of the first, cut at a
+  // time boundary so the time sort restores the original order exactly.
+  std::size_t cut = events.size() / 2;
+  while (cut < events.size() && events[cut].time == events[cut - 1].time) {
+    ++cut;
+  }
+  ASSERT_LT(cut, events.size());
+  trace::EventVector unsorted(events.begin() + static_cast<std::ptrdiff_t>(cut),
+                              events.end());
+  unsorted.insert(unsorted.end(), events.begin(),
+                  events.begin() + static_cast<std::ptrdiff_t>(cut));
+  trace::EventColumns unsorted_columns;
+  unsorted_columns.append(unsorted);
+  ASSERT_FALSE(trace::is_time_sorted(unsorted_columns.view()));
+  expect_same_timeline(from_rows, InstanceTimeline(unsorted), events);
+  expect_same_timeline(from_rows, InstanceTimeline(unsorted_columns.view()),
+                       events);
 }
 
 }  // namespace

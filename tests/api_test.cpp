@@ -508,6 +508,55 @@ TEST(ColumnarStorageTest, UnsortedTtbSegmentIsSortedOnIngest) {
   }
 }
 
+TEST(ColumnarStorageTest, ColumnsSegmentsMatchInMemorySession) {
+  const std::vector<Arrival> arrivals = mixed_arrivals();
+  trace::EventVector unsorted = scenario_trace(34);
+  std::mt19937_64 rng(34);
+  std::shuffle(unsorted.begin(), unsorted.end(), rng);
+  for (const StorageCase& c : storage_cases()) {
+    SynthesisSession columns(c.config);
+    for (const Arrival& arrival : arrivals) {
+      trace::EventColumns segment;
+      segment.append(arrival.events);
+      const auto info = columns.ingest(
+          std::move(segment), {.trace_id = arrival.trace_id, .mode = ""});
+      ASSERT_TRUE(info.ok()) << info.error().to_string();
+      EXPECT_EQ(info->event_count, arrival.events.size());
+      EXPECT_TRUE(info->arrived_sorted);
+    }
+    trace::EventColumns shuffled;
+    shuffled.append(unsorted);
+    const auto info =
+        columns.ingest(std::move(shuffled), {.trace_id = "c", .mode = ""});
+    ASSERT_TRUE(info.ok()) << info.error().to_string();
+    EXPECT_FALSE(info->arrived_sorted) << c.name;
+
+    SynthesisSession memory(c.config);
+    ingest_arrivals(memory, arrivals, 0, arrivals.size(), true, "");
+    ASSERT_TRUE(memory.ingest(unsorted, {.trace_id = "c", .mode = ""}).ok());
+    EXPECT_EQ(model_json(columns), model_json(memory)) << c.name;
+    for (const char* id : {"a", "b", "c"}) {
+      EXPECT_EQ(columns.merged_events(id).value(),
+                memory.merged_events(id).value())
+          << c.name << " trace " << id;
+    }
+  }
+}
+
+TEST(SynthesisSessionTest, ExpiringSessionMovesTraceModelOut) {
+  SynthesisSession session;
+  ASSERT_TRUE(
+      session.ingest(scenario_trace(35), {.trace_id = "t", .mode = ""}).ok());
+  const std::string copied = core::to_json(session.trace_model("t")->dag);
+  Result<core::TimingModel> moved = std::move(session).trace_model("t");
+  ASSERT_TRUE(moved.ok()) << moved.error().to_string();
+  EXPECT_EQ(core::to_json(moved->dag), copied);
+  // The session re-synthesizes the handed-over model on the next query.
+  EXPECT_EQ(core::to_json(session.trace_model("t")->dag), copied);
+  EXPECT_EQ(std::move(session).trace_model("missing").error().code,
+            ErrorCode::UnknownTrace);
+}
+
 TEST(ColumnarStorageTest, IngestAfterModelMatchesFreshSession) {
   const std::vector<Arrival> arrivals = mixed_arrivals();
   const std::size_t half = arrivals.size() / 2;

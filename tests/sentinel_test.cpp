@@ -35,6 +35,7 @@
 #include "scenario/runner.hpp"
 #include "sentinel/sentinel.hpp"
 #include "trace/serialize.hpp"
+#include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
 namespace {
@@ -566,6 +567,148 @@ TEST_F(SentinelGoldenTest, DeadlineViolationFiresOnConfiguredChain) {
         deadline_finding || finding.kind == DriftKind::DeadlineViolation;
   }
   EXPECT_TRUE(deadline_finding) << verdict_to_json(*verdict);
+}
+
+// ---- stream paths: rows and .ttb feeds agree with recorded verdicts ---------
+
+// Each case feeds the same batches twice — as rows through feed() and as
+// .ttb files through feed_file() — and both verdict streams must equal the
+// lines recorded in tests/data/sentinel_stream_<case>.jsonl. The cases
+// cover the stream buffer's gap skip, late-event drop, overlapping-batch
+// merge and baseline-refresh fold. The recordings are the rows feed's
+// lines of each case; re-record them only after an intentional verdict
+// change.
+
+trace::EventVector fixture_events(const std::string& name) {
+  return trace::read_jsonl_file(data_path(name));
+}
+
+/// Rows of `events` with time in [from_ms, to_ms), in trace order.
+trace::EventVector rows_between(const trace::EventVector& events,
+                                double from_ms, double to_ms) {
+  const TimePoint from = TimePoint{} + Duration::ms_f(from_ms);
+  const TimePoint to = TimePoint{} + Duration::ms_f(to_ms);
+  trace::EventVector out;
+  for (const auto& event : events) {
+    if (event.time >= from && event.time < to) out.push_back(event);
+  }
+  return out;
+}
+
+std::string verdict_lines(const std::vector<WindowVerdict>& verdicts) {
+  std::string lines;
+  for (const auto& verdict : verdicts) {
+    lines += window_verdict_to_json(verdict);
+    lines += '\n';
+  }
+  return lines;
+}
+
+struct StreamRun {
+  std::string lines;
+  std::size_t skipped_empty = 0;
+  std::size_t late_events = 0;
+  std::size_t refreshes = 0;
+};
+
+/// Feeds `batches` into a fresh stream over the seed-7 baseline, as rows
+/// or (via_ttb) as one .ttb file per batch.
+StreamRun run_stream(const SentinelConfig& config,
+                     const std::vector<trace::EventVector>& batches,
+                     bool via_ttb) {
+  StreamRun run;
+  StreamSentinel stream(config);
+  EXPECT_TRUE(
+      stream.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+          .ok());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    api::Result<std::vector<WindowVerdict>> verdicts =
+        std::vector<WindowVerdict>{};
+    if (via_ttb) {
+      const std::string path = ::testing::TempDir() + "stream_batch_" +
+                               std::to_string(i) + ".ttb";
+      trace::write_ttb_file(path, batches[i]);
+      verdicts = stream.feed_file(path);
+      std::remove(path.c_str());
+    } else {
+      verdicts = stream.feed(batches[i]);
+    }
+    EXPECT_TRUE(verdicts.ok()) << verdicts.error().to_string();
+    if (verdicts.ok()) run.lines += verdict_lines(verdicts.value());
+  }
+  run.skipped_empty = stream.windows_skipped_empty();
+  run.late_events = stream.late_events();
+  run.refreshes = stream.refreshes();
+  return run;
+}
+
+/// Runs both feeds and checks them against each other and the recording.
+StreamRun expect_recorded_stream(const SentinelConfig& config,
+                                 const std::vector<trace::EventVector>& batches,
+                                 const std::string& golden) {
+  const StreamRun rows = run_stream(config, batches, false);
+  const StreamRun files = run_stream(config, batches, true);
+  EXPECT_FALSE(rows.lines.empty());
+  EXPECT_EQ(files.lines, rows.lines);
+  EXPECT_EQ(rows.lines, read_file(data_path(golden)));
+  EXPECT_EQ(files.skipped_empty, rows.skipped_empty);
+  EXPECT_EQ(files.late_events, rows.late_events);
+  EXPECT_EQ(files.refreshes, rows.refreshes);
+  return rows;
+}
+
+SentinelConfig short_window_config() {
+  SentinelConfig config;
+  config.window_span = Duration::ms(400);
+  config.window_advance = Duration::ms(200);
+  return config;
+}
+
+TEST(StreamPathTest, RebasedGapSkipsEmptyWindows) {
+  SentinelConfig config = short_window_config();
+  config.rebase_segments = true;
+  config.rebase_gap = Duration::ms(1000);
+  const StreamRun run = expect_recorded_stream(
+      config,
+      {fixture_events("sentinel_seed7_clean.jsonl"),
+       fixture_events("sentinel_seed7_drift.jsonl")},
+      "sentinel_stream_gap.jsonl");
+  EXPECT_GT(run.skipped_empty, 0u);
+}
+
+TEST(StreamPathTest, LateBatchDropsAndOverlappingBatchMerges) {
+  const trace::EventVector clean = fixture_events("sentinel_seed7_clean.jsonl");
+  const trace::EventVector drift = fixture_events("sentinel_seed7_drift.jsonl");
+  // Batch 1 ends at 900 ms but holds only the even rows of [700, 900);
+  // batch 2 brings the odd ones, so it overlaps the buffered tail and
+  // must merge into it. Batch 3 starts behind the committed window.
+  trace::EventVector first = rows_between(clean, 0, 700);
+  trace::EventVector second;
+  const trace::EventVector seam = rows_between(clean, 700, 900);
+  for (std::size_t i = 0; i < seam.size(); ++i) {
+    (i % 2 == 0 ? first : second).push_back(seam[i]);
+  }
+  const trace::EventVector tail = rows_between(clean, 900, 1200);
+  second.insert(second.end(), tail.begin(), tail.end());
+  const StreamRun run = expect_recorded_stream(
+      short_window_config(), {first, second, rows_between(drift, 500, 1500)},
+      "sentinel_stream_late_overlap.jsonl");
+  EXPECT_GT(run.late_events, 0u);
+}
+
+TEST(StreamPathTest, RefreshFoldsStreamIntoBaseline) {
+  SentinelConfig config = short_window_config();
+  config.rebase_segments = true;
+  config.refresh_after = 2;
+  // Keep the shifted windows alarm-free so the hysteresis can fire.
+  config.evidence_alpha = 1e-30;
+  config.structural_hits = 1000;
+  config.cusum_threshold_fraction = 1e9;
+  const trace::EventVector drift = fixture_events("sentinel_seed7_drift.jsonl");
+  const StreamRun run =
+      expect_recorded_stream(config, {drift, drift, drift},
+                             "sentinel_stream_refresh.jsonl");
+  EXPECT_GT(run.refreshes, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -310,6 +311,48 @@ TEST(ScenarioCliTest, TtbOutMatchesTraceOut) {
   std::remove(jsonl.c_str());
   std::remove(ttb.c_str());
   std::remove(back.c_str());
+}
+
+TEST(SentinelCliTest, FollowMatchesGoldenForJsonlAndTtbSegments) {
+  // The streaming verdict lines over the clean-then-drift segment layout
+  // are pinned by tests/data/sentinel_seed7_follow.jsonl. The same
+  // segments converted to .ttb take the columnar feed path and must
+  // produce the same bytes.
+  REQUIRE_TOOL("tetra_sentinel");
+  REQUIRE_TOOL("tetra_synth");
+  namespace fs = std::filesystem;
+  const std::string data = std::string(TETRA_TEST_DATA_DIR);
+  const fs::path root = fs::path(::testing::TempDir()) / "follow_golden";
+  fs::remove_all(root);
+  fs::create_directories(root / "jsonl");
+  fs::create_directories(root / "ttb");
+  const std::pair<const char*, const char*> segments[] = {
+      {"000-clean", "sentinel_seed7_clean.jsonl"},
+      {"001-drift", "sentinel_seed7_drift.jsonl"}};
+  for (const auto& [name, fixture] : segments) {
+    fs::copy_file(data + "/" + fixture,
+                  root / "jsonl" / (std::string(name) + ".jsonl"));
+    ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + data + "/" +
+                          fixture + " --to-ttb " +
+                          (root / "ttb" / (std::string(name) + ".ttb"))
+                              .string())
+                  .exit_code,
+              0);
+  }
+  const std::string golden = slurp(data + "/sentinel_seed7_follow.jsonl");
+  ASSERT_FALSE(golden.empty());
+  for (const char* layout : {"jsonl", "ttb"}) {
+    const std::string out = (root / (std::string(layout) + ".out")).string();
+    const int code =
+        run_command(binary("tetra_sentinel") + " --baseline " + data +
+                    "/scenario_seed7_trace.jsonl --follow " +
+                    (root / layout).string() +
+                    " --span 400 --advance 200 --out " + out + " --quiet")
+            .exit_code;
+    EXPECT_EQ(code, 1) << layout;  // the drift segment alarms
+    EXPECT_EQ(slurp(out), golden) << layout;
+  }
+  fs::remove_all(root);
 }
 
 TEST(ScenarioCliTest, StatsSnapshotIsDeterministicUnderSimClock) {

@@ -143,6 +143,83 @@ TEST(EventColumnsTest, AppendViewRejectsBadStringIndex) {
   EXPECT_THROW(target.append(corrupt), std::invalid_argument);
 }
 
+TEST(EventColumnsTest, ShiftTimeMovesTimesAndSourceTimestamps) {
+  const EventVector events = one_of_each();
+  EventColumns columns;
+  columns.append(events);
+  columns.shift_time(2, 1000);
+  const ColumnsView view = columns.view();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    TraceEvent expected = events[i];
+    if (i >= 2) {
+      expected.time += Duration{1000};
+      if (auto* take = std::get_if<TakeInfo>(&expected.payload)) {
+        take->src_ts += Duration{1000};
+      } else if (auto* write = std::get_if<DdsWriteInfo>(&expected.payload)) {
+        write->src_ts += Duration{1000};
+      }
+    }
+    EXPECT_EQ(materialize_event(view, i), expected) << "event " << i;
+  }
+}
+
+TEST(EventColumnsTest, EraseFrontKeepsTailAndStrings) {
+  const EventVector events = one_of_each();
+  EventColumns columns;
+  columns.append(events);
+  columns.erase_front(4);
+  ASSERT_EQ(columns.size(), events.size() - 4);
+  const EventVector tail(events.begin() + 4, events.end());
+  EXPECT_EQ(materialize(columns.view()), tail);
+  columns.erase_front(columns.size() + 3);
+  EXPECT_TRUE(columns.empty());
+}
+
+TEST(EventColumnsTest, MergeTailIsAStableTimeMerge) {
+  // Two time-sorted batches with equal times across them: the merge must
+  // equal a stable sort of the concatenation (earlier batch first on ties).
+  EventVector first;
+  EventVector second;
+  for (int i = 0; i < 12; ++i) {
+    first.push_back(make_dds_write(TimePoint{10 * i}, 1, "/a",
+                                   TimePoint{i}));
+    second.push_back(make_take(TimePoint{5 + 5 * i}, 2, TakeKind::Data,
+                               0x10, "/b", TimePoint{i}));
+  }
+  EventColumns columns;
+  columns.append(first);
+  columns.append(second);
+  columns.merge_tail(first.size());
+  EventVector expected = first;
+  expected.insert(expected.end(), second.begin(), second.end());
+  sort_by_time(expected);
+  EXPECT_EQ(materialize(columns.view()), expected);
+  EXPECT_TRUE(is_time_sorted(columns.view()));
+
+  // A tail that already follows the prefix is left in place.
+  EventColumns ordered;
+  ordered.append(first);
+  EventVector later = first;
+  for (auto& event : later) event.time += Duration{1000};
+  ordered.append(later);
+  ordered.merge_tail(first.size());
+  EventVector concatenated = first;
+  concatenated.insert(concatenated.end(), later.begin(), later.end());
+  EXPECT_EQ(materialize(ordered.view()), concatenated);
+}
+
+TEST(EventColumnsTest, SharedRemapInternsEachStringOnce) {
+  EventColumns source;
+  source.append(one_of_each());
+  const ColumnsView view = source.view();
+  EventColumns target;
+  std::vector<std::uint32_t> remap(view.string_count, EventColumns::npos);
+  target.append(view.slice(0, 5), remap);
+  target.append(view.slice(5, view.count - 5), remap);
+  EXPECT_EQ(materialize(target.view()), materialize(view));
+  EXPECT_EQ(target.view().string_count, view.string_count);
+}
+
 TEST(TtbTest, FileRoundTripsEveryEventType) {
   const EventVector events = one_of_each();
   const std::string path = temp_path("roundtrip.ttb");
