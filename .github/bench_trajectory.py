@@ -7,7 +7,8 @@ Reads the BENCH_*.json snapshots (synthesis, predict, ingest, overhead,
 telemetry) from both directories and
 prints a GitHub-flavored-markdown table of metric deltas (previous run ->
 this run), followed by a per-stage time breakdown aggregated from each
-snapshot's embedded telemetry span records (docs/TELEMETRY.md). Missing
+snapshot's embedded telemetry span records (docs/TELEMETRY.md), with each
+stage's share of the snapshot's root-span wall time. Missing
 files degrade gracefully: the table only covers what
 both snapshots have. Informational only — the caller must not gate on it.
 """
@@ -62,8 +63,9 @@ def load(path):
 
 
 def stage_breakdown(path):
-    """Aggregates the embedded telemetry spans by name: (count, wall_ms,
-    items) per stage, sorted by total wall time descending."""
+    """Aggregates the embedded telemetry spans by name: (count, wall_ns,
+    items) per stage, sorted by total wall time descending, plus the total
+    wall time of the root spans (those whose parent is not recorded)."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -73,28 +75,38 @@ def stage_breakdown(path):
     if not spans:
         return None
     stages = {}
+    ids = {span.get("id") for span in spans}
+    root_ns = 0
     for span in spans:
         name = span.get("name", "?")
         count, wall_ns, items = stages.get(name, (0, 0, 0))
         stages[name] = (count + 1, wall_ns + span.get("wall_ns", 0),
                         items + span.get("items", 0))
-    return sorted(stages.items(), key=lambda kv: -kv[1][1])
+        if span.get("parent", 0) not in ids:
+            root_ns += span.get("wall_ns", 0)
+    return sorted(stages.items(), key=lambda kv: -kv[1][1]), root_ns
 
 
 def print_stage_breakdowns(cur_dir):
     any_stages = False
     for bench in BENCHES:
-        stages = stage_breakdown(os.path.join(cur_dir, bench))
-        if not stages:
+        breakdown = stage_breakdown(os.path.join(cur_dir, bench))
+        if not breakdown:
             continue
+        stages, root_ns = breakdown
         if not any_stages:
             print("## Per-stage telemetry breakdown (this run)\n")
             any_stages = True
         print(f"### {bench}\n")
-        print("| stage | count | wall (ms) | items |")
-        print("|---|---:|---:|---:|")
+        # Nested stages overlap their parents, so shares need not sum
+        # to 100%.
+        print("| stage | count | wall (ms) | share of root | items |")
+        print("|---|---:|---:|---:|---:|")
         for name, (count, wall_ns, items) in stages:
-            print(f"| {name} | {count} | {wall_ns / 1e6:.3f} | {items} |")
+            share = (f"{100.0 * wall_ns / root_ns:.1f}%" if root_ns > 0
+                     else "—")
+            print(f"| {name} | {count} | {wall_ns / 1e6:.3f} | {share} "
+                  f"| {items} |")
         print()
 
 

@@ -5,7 +5,9 @@
 // Three measurements:
 //   1. single-thread file -> TraceIndex: memory-mapped .ttb vs JSONL parse
 //      (gate: >= 5x events/sec, the format exists to beat per-line JSON)
-//   2. sharded submit_jsonl throughput, 1 shard vs TETRA_SHARDS
+//   2. sharded submit_jsonl throughput, 1 shard vs TETRA_SHARDS, as
+//      interleaved (1-shard, N-shard) pairs scored best-of-N, so a
+//      scheduler hiccup in one pass cannot sink the ratio
 //      (gate: >= 0.7 scaling efficiency when the host has enough cores)
 //   3. incremental re-synthesis after a small per-pid delta vs a full
 //      pass, with a hard byte-identity check on the resulting DAG JSON
@@ -16,6 +18,7 @@
 //   TETRA_SHARDS     worker shards for the scaling pass (default 4)
 //   TETRA_BENCH_JSON output path (default BENCH_ingest.json)
 //   TETRA_REQUIRE_SPEEDUP  0 = report only, never fail the gates
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -40,6 +43,10 @@
 namespace {
 
 using namespace tetra;
+
+/// Interleaved (1-shard, N-shard) pairs behind the scaling gate; each
+/// side is scored by its fastest pass.
+constexpr int kShardPairs = 5;
 
 /// Splits JSONL text into `parts` chunks of whole lines (fleet segments of
 /// one robot's stream).
@@ -175,8 +182,15 @@ int main() {
     }
   }
   (void)sharded_pass(shards, items);  // warm-up
-  const double sharded_1_s = sharded_pass(1, items);
-  const double sharded_n_s = sharded_pass(shards, items);
+  std::vector<double> sharded_1_runs, sharded_n_runs;
+  for (int r = 0; r < kShardPairs; ++r) {
+    sharded_1_runs.push_back(sharded_pass(1, items));
+    sharded_n_runs.push_back(sharded_pass(shards, items));
+  }
+  const double sharded_1_s =
+      *std::min_element(sharded_1_runs.begin(), sharded_1_runs.end());
+  const double sharded_n_s =
+      *std::min_element(sharded_n_runs.begin(), sharded_n_runs.end());
   const double scaling_efficiency =
       sharded_n_s > 0.0
           ? sharded_1_s / (sharded_n_s * static_cast<double>(shards))
@@ -235,8 +249,8 @@ int main() {
   };
   row("jsonl file -> index, 1 thread", jsonl_s);
   row("ttb mmap -> index, 1 thread", ttb_s);
-  row("sharded jsonl ingest, 1 shard", sharded_1_s);
-  row(format("sharded jsonl ingest, %zu shards", shards), sharded_n_s);
+  row("sharded jsonl ingest, 1 shard (best)", sharded_1_s);
+  row(format("sharded jsonl ingest, %zu shards (best)", shards), sharded_n_s);
   std::printf("%-40s %12.2fx\n", "ttb speedup", ttb_speedup);
   std::printf("%-40s %12.2f\n", "scaling efficiency", scaling_efficiency);
   std::printf("%-40s %12.1f vs %.1f ms full (%zu/%zu nodes, %s)\n",

@@ -35,90 +35,92 @@ Duration exec_time_naive(TimePoint start, TimePoint end, Pid pid,
 
 ExecTimeCalculator::ExecTimeCalculator(const trace::EventVector& events) {
   for (const auto& event : events) index_event(event);
-  finalize_indices();
+  for (Timeline& timeline : timelines_) {
+    std::stable_sort(timeline.switches.begin(), timeline.switches.end(),
+                     [](const Switch& a, const Switch& b) {
+                       return a.time < b.time;
+                     });
+    std::sort(timeline.wakeups.begin(), timeline.wakeups.end());
+  }
+}
+
+ExecTimeCalculator::Timeline& ExecTimeCalculator::timeline_for(Pid pid) {
+  const auto [slot, added] = slots_.try_emplace(
+      pid, static_cast<std::uint32_t>(timelines_.size()));
+  if (added) timelines_.emplace_back();
+  return timelines_[slot->second];
+}
+
+const ExecTimeCalculator::Timeline* ExecTimeCalculator::timeline_of(
+    Pid pid) const {
+  const auto slot = slots_.find(pid);
+  return slot == slots_.end() ? nullptr : &timelines_[slot->second];
 }
 
 void ExecTimeCalculator::index_event(const trace::TraceEvent& event) {
   if (event.type == trace::EventType::SchedSwitch) {
     const auto& info = event.as<trace::SchedSwitchInfo>();
+    const std::int64_t t = event.time.count_ns();
     if (info.prev_pid != kIdlePid) {
-      switches_[info.prev_pid].push_back(
-          Switch{event.time, false, info.prev_state});
+      timeline_for(info.prev_pid)
+          .switches.push_back(Switch{t, static_cast<char>(info.prev_state)});
     }
     if (info.next_pid != kIdlePid) {
-      switches_[info.next_pid].push_back(
-          Switch{event.time, true, trace::ThreadRunState::Runnable});
+      timeline_for(info.next_pid).switches.push_back(Switch{t, kSwitchedIn});
     }
   } else if (event.type == trace::EventType::SchedWakeup) {
-    wakeups_[event.as<trace::SchedWakeupInfo>().woken_pid].push_back(event.time);
+    timeline_for(event.as<trace::SchedWakeupInfo>().woken_pid)
+        .wakeups.push_back(event.time);
   }
 }
 
 void ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
                                         std::size_t from) {
-  // First-touch old sizes, so each per-PID list can be re-merged once.
-  std::map<Pid, std::size_t> switch_sizes;
-  std::map<Pid, std::size_t> wakeup_sizes;
+  for (Timeline& timeline : timelines_) {
+    timeline.switches_before = timeline.switches.size();
+    timeline.wakeups_before = timeline.wakeups.size();
+  }
   for (std::size_t i = from; i < v.count; ++i) {
     const auto type = static_cast<trace::EventType>(v.type[i]);
     if (type == trace::EventType::SchedSwitch) {
-      const TimePoint t{v.time[i]};
       const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
       const Pid next = static_cast<Pid>(v.sched_next_pid(i));
       if (prev != kIdlePid) {
-        auto& list = switches_[prev];
-        switch_sizes.emplace(prev, list.size());
-        list.push_back(Switch{
-            t, false,
-            static_cast<trace::ThreadRunState>(static_cast<char>(v.aux[i]))});
+        timeline_for(prev).switches.push_back(
+            Switch{v.time[i], static_cast<char>(v.aux[i])});
       }
       if (next != kIdlePid) {
-        auto& list = switches_[next];
-        switch_sizes.emplace(next, list.size());
-        list.push_back(Switch{t, true, trace::ThreadRunState::Runnable});
+        timeline_for(next).switches.push_back(Switch{v.time[i], kSwitchedIn});
       }
     } else if (type == trace::EventType::SchedWakeup) {
-      const Pid pid = static_cast<Pid>(v.wakeup_pid(i));
-      auto& list = wakeups_[pid];
-      wakeup_sizes.emplace(pid, list.size());
-      list.push_back(TimePoint{v.time[i]});
+      timeline_for(static_cast<Pid>(v.wakeup_pid(i)))
+          .wakeups.push_back(TimePoint{v.time[i]});
     }
   }
   // A stable merge keeps older entries first on time ties — identical to
   // the stable_sort a full rebuild applies over the merged event order.
-  for (const auto& [pid, old_size] : switch_sizes) {
-    auto& list = switches_[pid];
-    if (old_size == 0 || old_size == list.size()) continue;
-    if (!(list[old_size].time < list[old_size - 1].time)) continue;
-    std::inplace_merge(
-        list.begin(), list.begin() + static_cast<std::ptrdiff_t>(old_size),
-        list.end(),
-        [](const Switch& a, const Switch& b) { return a.time < b.time; });
+  // Pids first seen in this batch have nothing before it to merge with.
+  for (Timeline& timeline : timelines_) {
+    auto& switches = timeline.switches;
+    const std::size_t old_switches = timeline.switches_before;
+    if (old_switches != 0 && old_switches != switches.size() &&
+        switches[old_switches].time < switches[old_switches - 1].time) {
+      std::inplace_merge(
+          switches.begin(),
+          switches.begin() + static_cast<std::ptrdiff_t>(old_switches),
+          switches.end(),
+          [](const Switch& a, const Switch& b) { return a.time < b.time; });
+    }
+    auto& wakeups = timeline.wakeups;
+    const std::size_t old_wakeups = timeline.wakeups_before;
+    if (old_wakeups != 0 && old_wakeups != wakeups.size() &&
+        wakeups[old_wakeups] < wakeups[old_wakeups - 1]) {
+      std::inplace_merge(
+          wakeups.begin(),
+          wakeups.begin() + static_cast<std::ptrdiff_t>(old_wakeups),
+          wakeups.end());
+    }
   }
-  for (const auto& [pid, old_size] : wakeup_sizes) {
-    auto& list = wakeups_[pid];
-    if (old_size == 0 || old_size == list.size()) continue;
-    if (!(list[old_size] < list[old_size - 1])) continue;
-    std::inplace_merge(
-        list.begin(), list.begin() + static_cast<std::ptrdiff_t>(old_size),
-        list.end());
-  }
-}
-
-void ExecTimeCalculator::finalize_indices() {
-  for (auto& [pid, list] : switches_) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Switch& a, const Switch& b) { return a.time < b.time; });
-  }
-  for (auto& [pid, list] : wakeups_) {
-    std::sort(list.begin(), list.end());
-  }
-}
-
-const std::vector<ExecTimeCalculator::Switch>* ExecTimeCalculator::switches_for(
-    Pid pid) const {
-  auto it = switches_.find(pid);
-  return it == switches_.end() ? nullptr : &it->second;
 }
 
 Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
@@ -126,17 +128,19 @@ Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
   // Inverted windows (corrupt or hand-edited traces) have no well-defined
   // on-CPU intersection; report zero rather than a negative duration.
   if (end < start) return Duration::zero();
-  const auto* list = switches_for(pid);
-  if (list == nullptr) return end - start;  // never switched: ran throughout
-  Duration total = Duration::zero();
-  TimePoint last_start = start;
+  const Timeline* timeline = timeline_of(pid);
+  if (timeline == nullptr) return end - start;  // never switched: ran throughout
+  const std::vector<Switch>& switches = timeline->switches;
+  const std::int64_t start_ns = start.count_ns();
+  const std::int64_t end_ns = end.count_ns();
+  std::int64_t total = 0;
+  std::int64_t last_start = start_ns;
   bool on_cpu = true;
   auto it = std::upper_bound(
-      list->begin(), list->end(), start,
-      [](TimePoint t, const Switch& s) { return t < s.time; });
-  for (; it != list->end() && it->time < end; ++it) {
-    if (it->time <= start) continue;
-    if (!it->in) {
+      switches.begin(), switches.end(), start_ns,
+      [](std::int64_t t, const Switch& s) { return t < s.time; });
+  for (; it != switches.end() && it->time < end_ns; ++it) {
+    if (it->state != kSwitchedIn) {
       if (on_cpu) total += it->time - last_start;
       on_cpu = false;
     } else {
@@ -144,15 +148,15 @@ Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
       on_cpu = true;
     }
   }
-  if (on_cpu) total += end - last_start;
-  return total;
+  if (on_cpu) total += end_ns - last_start;
+  return Duration::ns(total);
 }
 
 std::optional<TimePoint> ExecTimeCalculator::last_wakeup_before(
     Pid pid, TimePoint t) const {
-  auto it = wakeups_.find(pid);
-  if (it == wakeups_.end() || it->second.empty()) return std::nullopt;
-  const auto& list = it->second;
+  const Timeline* timeline = timeline_of(pid);
+  if (timeline == nullptr || timeline->wakeups.empty()) return std::nullopt;
+  const auto& list = timeline->wakeups;
   auto pos = std::upper_bound(list.begin(), list.end(), t);
   if (pos == list.begin()) return std::nullopt;
   return *(pos - 1);
@@ -160,13 +164,15 @@ std::optional<TimePoint> ExecTimeCalculator::last_wakeup_before(
 
 std::size_t ExecTimeCalculator::preemptions_in(TimePoint start, TimePoint end,
                                                Pid pid) const {
-  const auto* list = switches_for(pid);
-  if (list == nullptr) return 0;
+  const Timeline* timeline = timeline_of(pid);
+  if (timeline == nullptr) return 0;
   std::size_t count = 0;
-  for (const auto& s : *list) {
-    if (s.time <= start) continue;
-    if (s.time >= end) break;
-    if (!s.in && s.prev_state == trace::ThreadRunState::Runnable) ++count;
+  for (const Switch& s : timeline->switches) {
+    if (s.time <= start.count_ns()) continue;
+    if (s.time >= end.count_ns()) break;
+    if (s.state == static_cast<char>(trace::ThreadRunState::Runnable)) {
+      ++count;
+    }
   }
   return count;
 }

@@ -11,8 +11,9 @@
 //    extraction pass.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -58,17 +59,27 @@ class ExecTimeCalculator {
   std::size_t preemptions_in(TimePoint start, TimePoint end, Pid pid) const;
 
  private:
+  /// One sched_switch as seen by one pid: it got the CPU (kSwitchedIn),
+  /// or it left the CPU in the stored ThreadRunState (never 0).
+  static constexpr char kSwitchedIn = 0;
   struct Switch {
-    TimePoint time;
-    bool in;  ///< true: pid got the CPU; false: pid left the CPU
-    trace::ThreadRunState prev_state;  ///< only meaningful when !in
+    std::int64_t time;
+    char state;
   };
-  const std::vector<Switch>* switches_for(Pid pid) const;
+  /// One pid's scheduling history, both lists in (time, append) order.
+  struct Timeline {
+    std::vector<Switch> switches;
+    std::vector<TimePoint> wakeups;
+    /// List sizes before the batch being appended (tail merges).
+    std::size_t switches_before = 0;
+    std::size_t wakeups_before = 0;
+  };
+  const Timeline* timeline_of(Pid pid) const;
+  Timeline& timeline_for(Pid pid);
   void index_event(const trace::TraceEvent& event);
-  void finalize_indices();
 
-  std::map<Pid, std::vector<Switch>> switches_;
-  std::map<Pid, std::vector<TimePoint>> wakeups_;
+  std::unordered_map<Pid, std::uint32_t> slots_;  ///< pid -> timeline
+  std::vector<Timeline> timelines_;
 };
 
 }  // namespace tetra::core

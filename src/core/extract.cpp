@@ -30,6 +30,15 @@ void merge_tail(std::vector<std::size_t>& list, std::size_t old_size,
                      chrono_less);
 }
 
+/// Orders a batch of keyed rows by (topic, src_ts, seq).
+template <typename It>
+void sort_keyed_batch(It first, It last) {
+  std::sort(first, last, [](const auto& a, const auto& b) {
+    return std::tie(a.topic, a.src_ts, a.seq) <
+           std::tie(b.topic, b.src_ts, b.seq);
+  });
+}
+
 }  // namespace
 
 const char* ros2_request_suffix() { return "Request"; }
@@ -93,12 +102,15 @@ void TraceIndex::reset_rows_written() {
 }
 
 void TraceIndex::release_lookups() {
-  ros_by_pid_ = {};
-  writes_ = {};
-  take_responses_ = {};
-  p14_by_pid_ = {};
-  node_event_ = {};
-  nodes_ = {};
+  // Move-assigning a fresh object frees the storage (`v = {}` would keep
+  // a std::vector's capacity). The write table alone keeps its buffer,
+  // for restore_lookups() to refill; see the declaration.
+  slots_ = decltype(slots_)();
+  pid_lists_ = decltype(pid_lists_)();
+  writes_.clear();
+  response_keys_ = decltype(response_keys_)();
+  response_lists_ = decltype(response_lists_)();
+  nodes_ = decltype(nodes_)();
   exec_calc_ = ExecTimeCalculator();
   lookups_released_ = true;
 }
@@ -116,97 +128,115 @@ void TraceIndex::restore_lookups() {
 AppendDelta TraceIndex::appended(std::size_t base) {
   batch_starts_.push_back(base);
   rows_written_total.fetch_add(size() - base, std::memory_order_relaxed);
-  if (lookups_released_) return {};
-  return index_rows(base, size());
+  if (!lookups_released_) index_rows(base, size());
+  AppendDelta delta;
+  delta.first_row = base;
+  delta.end_row = size();
+  return delta;
 }
 
-AppendDelta TraceIndex::index_rows(std::size_t from, std::size_t to) {
-  AppendDelta delta;
+void TraceIndex::index_rows(std::size_t from, std::size_t to) {
   const trace::ColumnsView v = columns_.view().slice(0, to);
-  // Old sizes of every per-pid / per-key list touched by this batch, so
-  // (time, seq) order can be restored with one merge each.
-  std::map<Pid, std::size_t> ros_sizes;
-  std::map<Pid, std::size_t> p14_sizes;
-  std::map<TopicTsKey, std::size_t> response_sizes;
+  for (PidLists& lists : pid_lists_) {
+    lists.ros_before = lists.ros.size();
+    lists.p14_before = lists.p14.size();
+  }
   const std::size_t old_writes = writes_.size();
+  std::vector<KeyedRow> responses;
 
   for (std::size_t i = from; i < v.count; ++i) {
     const auto type = static_cast<trace::EventType>(v.type[i]);
-    if (type == trace::EventType::SchedSwitch) {
-      const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
-      const Pid next = static_cast<Pid>(v.sched_next_pid(i));
-      if (prev != kIdlePid) delta.sched_pids.insert(prev);
-      if (next != kIdlePid) delta.sched_pids.insert(next);
-      continue;
+    if (type == trace::EventType::SchedSwitch ||
+        type == trace::EventType::SchedWakeup) {
+      continue;  // the exec-time calculator's rows
     }
-    if (type == trace::EventType::SchedWakeup) {
-      delta.sched_pids.insert(static_cast<Pid>(v.wakeup_pid(i)));
-      continue;
-    }
-
     const Pid pid = static_cast<Pid>(v.pid[i]);
-    delta.ros_pids.insert(pid);
-    auto& ros = ros_by_pid_[pid];
-    ros_sizes.emplace(pid, ros.size());
-    ros.push_back(i);
+    const auto [slot, added] = slots_.try_emplace(
+        pid, static_cast<std::uint32_t>(pid_lists_.size()));
+    if (added) pid_lists_.emplace_back();
+    PidLists& lists = pid_lists_[slot->second];
+    lists.ros.push_back(i);
 
     switch (type) {
-      case trace::EventType::RmwCreateNode: {
-        const auto key = std::make_pair(v.time[i], i);
-        auto [it, inserted] = node_event_.emplace(pid, key);
+      case trace::EventType::RmwCreateNode:
         // Last event in merged order names the node: the newcomer (larger
         // seq) wins unless it is chronologically earlier.
-        if (inserted || key.first >= it->second.first) {
-          it->second = key;
+        if (lists.name_seq == npos || v.time[i] >= lists.name_time) {
+          lists.name_time = v.time[i];
+          lists.name_seq = i;
           nodes_[pid] = std::string(v.str(v.arg_c[i]));
         }
         break;
-      }
       case trace::EventType::DdsWrite:
-        writes_.push_back(WriteEntry{v.arg_c[i], v.arg_b[i], i});
-        delta.write_keys.insert(
-            TopicTsKey{std::string(v.str(v.arg_c[i])), v.arg_b[i]});
+        writes_.push_back(KeyedRow{v.arg_c[i], v.arg_b[i], i});
         break;
-      case trace::EventType::Take: {
+      case trace::EventType::Take:
         if (static_cast<trace::TakeKind>(v.aux[i]) ==
             trace::TakeKind::Response) {
-          TopicTsKey key{std::string(v.str(v.arg_c[i])), v.arg_b[i]};
-          auto& list = take_responses_[key];
-          response_sizes.emplace(key, list.size());
-          list.push_back(i);
-          delta.response_keys.insert(std::move(key));
+          responses.push_back(KeyedRow{v.arg_c[i], v.arg_b[i], i});
         }
         break;
-      }
-      case trace::EventType::TakeTypeErased: {
-        auto& list = p14_by_pid_[pid];
-        p14_sizes.emplace(pid, list.size());
-        list.push_back(i);
+      case trace::EventType::TakeTypeErased:
+        lists.p14.push_back(i);
         break;
-      }
       default:
         break;
     }
   }
 
-  for (const auto& [pid, old_size] : ros_sizes) {
-    merge_tail(ros_by_pid_[pid], old_size, v);
+  for (PidLists& lists : pid_lists_) {
+    merge_tail(lists.ros, lists.ros_before, v);
+    merge_tail(lists.p14, lists.p14_before, v);
   }
-  for (const auto& [pid, old_size] : p14_sizes) {
-    merge_tail(p14_by_pid_[pid], old_size, v);
-  }
-  for (const auto& [key, old_size] : response_sizes) {
-    merge_tail(take_responses_[key], old_size, v);
-  }
-  const auto write_less = [&v](const WriteEntry& a, const WriteEntry& b) {
-    return std::tie(a.topic, a.src_ts, v.time[a.seq], a.seq) <
-           std::tie(b.topic, b.src_ts, v.time[b.seq], b.seq);
-  };
+  // Within one batch, seq order is (time, seq) order; across batches a
+  // key tie falls back to the rows' times.
   const auto batch = writes_.begin() + static_cast<std::ptrdiff_t>(old_writes);
-  std::sort(batch, writes_.end(), write_less);
-  std::inplace_merge(writes_.begin(), batch, writes_.end(), write_less);
+  sort_keyed_batch(batch, writes_.end());
+  std::inplace_merge(
+      writes_.begin(), batch, writes_.end(),
+      [&v](const KeyedRow& a, const KeyedRow& b) {
+        return std::tie(a.topic, a.src_ts, v.time[a.seq], a.seq) <
+               std::tie(b.topic, b.src_ts, v.time[b.seq], b.seq);
+      });
+  if (!responses.empty()) index_responses(responses, v);
   exec_calc_.append_columns(v, from);
-  return delta;
+}
+
+void TraceIndex::index_responses(std::vector<KeyedRow>& batch,
+                                 const trace::ColumnsView& v) {
+  sort_keyed_batch(batch.begin(), batch.end());
+  // Keys new in this batch are appended after the old, sorted ones.
+  const auto old_keys = static_cast<std::ptrdiff_t>(response_keys_.size());
+  for (std::size_t run = 0; run < batch.size();) {
+    const TopicTsKey key = batch[run].key();
+    std::size_t run_end = run + 1;
+    while (run_end < batch.size() && batch[run_end].key() == key) ++run_end;
+    const auto old_end = response_keys_.begin() + old_keys;
+    const auto found = std::lower_bound(
+        response_keys_.begin(), old_end, key,
+        [](const ResponseKey& k, const TopicTsKey& wanted) {
+          return k.key() < wanted;
+        });
+    std::uint32_t list = 0;
+    if (found != old_end && found->key() == key) {
+      list = found->list;
+    } else {
+      list = static_cast<std::uint32_t>(response_lists_.size());
+      response_lists_.emplace_back();
+      response_keys_.push_back(ResponseKey{key.first, key.second, list});
+    }
+    std::vector<std::size_t>& rows = response_lists_[list];
+    const std::size_t old_size = rows.size();
+    rows.reserve(old_size + (run_end - run));
+    for (; run < run_end; ++run) rows.push_back(batch[run].seq);
+    merge_tail(rows, old_size, v);
+  }
+  // New keys were appended in key order; one merge sorts the table.
+  std::inplace_merge(
+      response_keys_.begin(), response_keys_.begin() + old_keys,
+      response_keys_.end(), [](const ResponseKey& a, const ResponseKey& b) {
+        return a.key() < b.key();
+      });
 }
 
 trace::TraceEvent TraceIndex::event_at(std::size_t seq) const {
@@ -215,44 +245,91 @@ trace::TraceEvent TraceIndex::event_at(std::size_t seq) const {
 
 const std::vector<std::size_t>& TraceIndex::ros_events_of(Pid pid) const {
   require_lookups();
-  auto it = ros_by_pid_.find(pid);
-  return it == ros_by_pid_.end() ? kEmpty : it->second;
+  const auto slot = slots_.find(pid);
+  return slot == slots_.end() ? kEmpty : pid_lists_[slot->second].ros;
 }
 
 std::size_t TraceIndex::find_write(const std::string& topic,
                                    TimePoint src_ts) const {
   const std::uint32_t topic_index = columns_.lookup(topic);
   if (topic_index == trace::EventColumns::npos) return npos;
-  const std::int64_t ts = src_ts.count_ns();
+  const TopicTsKey key{topic_index, src_ts.count_ns()};
   const auto it = std::lower_bound(
-      writes_.begin(), writes_.end(), std::make_pair(topic_index, ts),
-      [](const WriteEntry& e, const std::pair<std::uint32_t, std::int64_t>& k) {
-        return std::make_pair(e.topic, e.src_ts) < k;
+      writes_.begin(), writes_.end(), key,
+      [](const KeyedRow& e, const TopicTsKey& wanted) {
+        return e.key() < wanted;
       });
-  if (it == writes_.end() || it->topic != topic_index || it->src_ts != ts) {
-    return npos;
-  }
-  return it->seq;
+  return it == writes_.end() || it->key() != key ? npos : it->seq;
 }
 
 const std::vector<std::size_t>& TraceIndex::find_take_responses(
     const std::string& topic, TimePoint src_ts) const {
-  auto it = take_responses_.find(TopicTsKey{topic, src_ts.count_ns()});
-  return it == take_responses_.end() ? kEmpty : it->second;
+  const std::uint32_t topic_index = columns_.lookup(topic);
+  if (topic_index == trace::EventColumns::npos) return kEmpty;
+  const TopicTsKey key{topic_index, src_ts.count_ns()};
+  const auto it = std::lower_bound(
+      response_keys_.begin(), response_keys_.end(), key,
+      [](const ResponseKey& k, const TopicTsKey& wanted) {
+        return k.key() < wanted;
+      });
+  if (it == response_keys_.end() || it->key() != key) return kEmpty;
+  return response_lists_[it->list];
 }
 
 std::size_t TraceIndex::next_take_type_erased_after(Pid pid,
                                                     std::size_t after) const {
-  auto it = p14_by_pid_.find(pid);
-  if (it == p14_by_pid_.end()) return npos;
+  const auto slot = slots_.find(pid);
+  if (slot == slots_.end()) return npos;
+  const std::vector<std::size_t>& p14 = pid_lists_[slot->second].p14;
   const trace::ColumnsView v = columns_.view();
   const auto key = std::make_pair(v.time[after], after);
   auto pos = std::upper_bound(
-      it->second.begin(), it->second.end(), key,
+      p14.begin(), p14.end(), key,
       [&v](const std::pair<std::int64_t, std::size_t>& k, std::size_t seq) {
         return k < std::make_pair(v.time[seq], seq);
       });
-  return pos == it->second.end() ? npos : *pos;
+  return pos == p14.end() ? npos : *pos;
+}
+
+AppendDelta describe_rows(const trace::ColumnsView& v, std::size_t first_row,
+                          std::size_t end_row) {
+  AppendDelta delta;
+  delta.first_row = first_row;
+  delta.end_row = end_row;
+  for (std::size_t i = first_row; i < end_row; ++i) {
+    switch (static_cast<trace::EventType>(v.type[i])) {
+      case trace::EventType::SchedSwitch:
+        for (const Pid pid : {static_cast<Pid>(v.sched_prev_pid(i)),
+                              static_cast<Pid>(v.sched_next_pid(i))}) {
+          if (pid != kIdlePid) delta.sched_pids.push_back(pid);
+        }
+        continue;
+      case trace::EventType::SchedWakeup:
+        delta.sched_pids.push_back(static_cast<Pid>(v.wakeup_pid(i)));
+        continue;
+      case trace::EventType::DdsWrite:
+        delta.write_keys.emplace_back(v.arg_c[i], v.arg_b[i]);
+        break;
+      case trace::EventType::Take:
+        if (static_cast<trace::TakeKind>(v.aux[i]) ==
+            trace::TakeKind::Response) {
+          delta.response_keys.emplace_back(v.arg_c[i], v.arg_b[i]);
+        }
+        break;
+      default:
+        break;
+    }
+    delta.ros_pids.push_back(static_cast<Pid>(v.pid[i]));
+  }
+  const auto sort_unique = [](auto& items) {
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+  };
+  sort_unique(delta.ros_pids);
+  sort_unique(delta.sched_pids);
+  sort_unique(delta.write_keys);
+  sort_unique(delta.response_keys);
+  return delta;
 }
 
 CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
@@ -262,7 +339,7 @@ CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
   const trace::ColumnsView v = index.view();
   const std::string topic(v.str(v.arg_c[take_seq]));
   const std::int64_t src_ts = v.arg_b[take_seq];
-  if (deps != nullptr) deps->write_keys.insert(TopicTsKey{topic, src_ts});
+  if (deps != nullptr) deps->write_keys.emplace(v.arg_c[take_seq], src_ts);
   const std::size_t write_seq = index.find_write(topic, TimePoint{src_ts});
   if (write_seq == TraceIndex::npos) return kInvalidCallbackId;
   const Pid writer_pid = static_cast<Pid>(v.pid[write_seq]);
@@ -296,7 +373,7 @@ CallbackId find_client(const TraceIndex& index, std::size_t write_seq,
   const trace::ColumnsView v = index.view();
   const std::string topic(v.str(v.arg_c[write_seq]));
   const std::int64_t src_ts = v.arg_b[write_seq];
-  if (deps != nullptr) deps->response_keys.insert(TopicTsKey{topic, src_ts});
+  if (deps != nullptr) deps->response_keys.emplace(v.arg_c[write_seq], src_ts);
   // All take_response events for this response — one per client node of
   // the service (ncl of them). Only the caller's P14 evaluates true.
   for (std::size_t take_seq :

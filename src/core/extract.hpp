@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,8 +44,10 @@ const char* ros2_reply_suffix();
 bool is_service_request_topic(const std::string& topic);
 bool is_service_reply_topic(const std::string& topic);
 
-/// Lookup key of the (topic, source-timestamp) matching searches.
-using TopicTsKey = std::pair<std::string, std::int64_t>;
+/// Lookup key of the (topic, source-timestamp) matching searches: the
+/// topic's index in the TraceIndex's string table, and the source
+/// timestamp in ns. Keys compare only within one index.
+using TopicTsKey = std::pair<std::uint32_t, std::int64_t>;
 
 /// Everything one per-node extraction read outside the node's own event
 /// stream. Recorded so incremental re-synthesis can invalidate exactly the
@@ -56,12 +59,22 @@ struct ExtractDeps {
 };
 
 /// What one appended segment contributed, in invalidation terms.
+/// TraceIndex::append reports only the row range it appended; the pid and
+/// key sets are left empty, because only incremental re-synthesis reads
+/// them — IncrementalSynthesizer fills them with describe_rows().
 struct AppendDelta {
-  std::set<Pid> ros_pids;              ///< pids with new ROS2 events
-  std::set<Pid> sched_pids;            ///< pids with new sched activity
-  std::set<TopicTsKey> write_keys;     ///< new dds_write keys
-  std::set<TopicTsKey> response_keys;  ///< new take-response keys
+  std::size_t first_row = 0;            ///< appended rows [first_row,
+  std::size_t end_row = 0;              ///<                end_row)
+  std::vector<Pid> ros_pids;            ///< pids with new ROS2 events
+  std::vector<Pid> sched_pids;          ///< pids with new sched activity
+  std::vector<TopicTsKey> write_keys;   ///< new dds_write keys
+  std::vector<TopicTsKey> response_keys;  ///< new take-response keys
 };
+
+/// The delta of rows [first_row, end_row) of `view`, every set sorted and
+/// duplicate-free.
+AppendDelta describe_rows(const trace::ColumnsView& view,
+                          std::size_t first_row, std::size_t end_row);
 
 /// Pre-built indices over one trace, shared by per-node extractions and by
 /// the caller/client resolution searches.
@@ -73,6 +86,10 @@ struct AppendDelta {
 /// segment, which always has the smaller sequence number), so an index
 /// grown by appends is indistinguishable from one built over the fully
 /// merged trace — the property incremental re-synthesis relies on.
+///
+/// The lookups are flat: a hash map gives each pid a slot in a vector of
+/// per-pid event lists, and the (topic, src_ts) lookups are sorted tables
+/// keyed by topic string index.
 ///
 /// A holder that re-extracts everything on each query anyway can
 /// release_lookups() between queries, keeping only the compact columns;
@@ -87,16 +104,21 @@ class TraceIndex {
   explicit TraceIndex(const trace::EventVector& events);
 
   /// Appends one time-sorted segment (throws std::invalid_argument when
-  /// unsorted) and returns what it touched.
+  /// unsorted) and returns the appended row range (see AppendDelta).
   AppendDelta append(const trace::EventVector& sorted_segment);
 
   /// Same, straight from columnar storage (e.g. a mapped .ttb file).
   AppendDelta append(const trace::ColumnsView& view);
 
-  /// Frees every lookup table (per-pid lists, key lookups, node names,
-  /// exec-time calculator) but keeps the columns. Until restore_lookups(),
-  /// appends only copy rows (their AppendDelta is empty) and lookup
-  /// queries throw std::logic_error.
+  /// Frees the lookup tables (per-pid lists, take-response keys, node
+  /// names, exec-time calculator) but keeps the columns. The dds_write
+  /// table is emptied but keeps its buffer (24 bytes per write, at most
+  /// twice that after growth), as it did when it was the index's only
+  /// flat table: freeing it too made the peak RSS of perfbench's pooled
+  /// fleet-ttb-batch workload read about 1.3 MiB higher, from where
+  /// glibc's per-thread arenas place the next trace's allocations, not
+  /// from bytes held. Until restore_lookups(), appends only copy rows and
+  /// lookup queries throw std::logic_error.
   void release_lookups();
   /// Rebuilds the released lookups; a no-op when they are present.
   void restore_lookups();
@@ -152,32 +174,54 @@ class TraceIndex {
   /// Bookkeeping after rows [base, size()) were copied in.
   AppendDelta appended(std::size_t base);
   /// Indexes rows [from, to), one time-sorted batch.
-  AppendDelta index_rows(std::size_t from, std::size_t to);
+  void index_rows(std::size_t from, std::size_t to);
   void require_lookups() const {
     if (lookups_released_) {
       throw std::logic_error("TraceIndex lookups are released");
     }
   }
 
+  /// The event lists of one pid, both in (time, seq) order.
+  struct PidLists {
+    std::vector<std::size_t> ros;  ///< ROS2 events
+    std::vector<std::size_t> p14;  ///< take_type_erased events
+    /// List sizes before the batch being indexed (tail merges).
+    std::size_t ros_before = 0;
+    std::size_t p14_before = 0;
+    /// (time, seq) of the P1 event currently naming the pid — appends only
+    /// replace a name when the newcomer is chronologically no earlier.
+    std::int64_t name_time = 0;
+    std::size_t name_seq = npos;
+  };
+  /// A (topic, src_ts)-keyed row: a dds_write or a take response.
+  struct KeyedRow {
+    std::uint32_t topic;  ///< string table index
+    std::int64_t src_ts;
+    std::size_t seq;
+    TopicTsKey key() const { return {topic, src_ts}; }
+  };
+  /// A take-response key and its match list.
+  struct ResponseKey {
+    std::uint32_t topic;
+    std::int64_t src_ts;
+    std::uint32_t list;  ///< index into response_lists_
+    TopicTsKey key() const { return {topic, src_ts}; }
+  };
+  void index_responses(std::vector<KeyedRow>& batch,
+                       const trace::ColumnsView& v);
+
   trace::EventColumns columns_;
   std::vector<std::size_t> batch_starts_;  ///< first row of each append
   bool lookups_released_ = false;
-  std::map<Pid, std::vector<std::size_t>> ros_by_pid_;
-  /// Every dds_write as (topic string index, src_ts, seq), sorted by
-  /// (topic, src_ts, time, seq): a key's first entry is its chronologically
-  /// first write, the canonical match. Flat, so the index holds a few
-  /// large allocations instead of one node per write.
-  struct WriteEntry {
-    std::uint32_t topic;
-    std::int64_t src_ts;
-    std::size_t seq;
-  };
-  std::vector<WriteEntry> writes_;
-  std::map<TopicTsKey, std::vector<std::size_t>> take_responses_;
-  std::map<Pid, std::vector<std::size_t>> p14_by_pid_;
-  /// (time, seq) of the P1 event currently naming each pid — appends only
-  /// replace a name when the newcomer is chronologically no earlier.
-  std::map<Pid, std::pair<std::int64_t, std::size_t>> node_event_;
+  std::unordered_map<Pid, std::uint32_t> slots_;  ///< pid -> pid_lists_
+  std::vector<PidLists> pid_lists_;
+  /// Every dds_write, sorted by (topic, src_ts, time, seq): a key's first
+  /// entry is its chronologically first write, the canonical match.
+  std::vector<KeyedRow> writes_;
+  /// Take-response keys sorted by (topic, src_ts); each owns one list of
+  /// matching rows in (time, seq) order (find_take_responses returns it).
+  std::vector<ResponseKey> response_keys_;
+  std::vector<std::vector<std::size_t>> response_lists_;
   std::map<Pid, std::string> nodes_;
   ExecTimeCalculator exec_calc_;
   static const std::vector<std::size_t> kEmpty;

@@ -9,12 +9,9 @@ namespace tetra::core {
 namespace {
 
 template <typename T>
-bool intersects(const std::set<T>& a, const std::set<T>& b) {
-  // Walk the smaller set, probe the larger.
-  const std::set<T>& probe = a.size() <= b.size() ? a : b;
-  const std::set<T>& in = a.size() <= b.size() ? b : a;
-  for (const T& item : probe) {
-    if (in.count(item) > 0) return true;
+bool intersects(const std::set<T>& read, const std::vector<T>& added) {
+  for (const T& item : added) {
+    if (read.count(item) > 0) return true;
   }
   return false;
 }
@@ -22,11 +19,13 @@ bool intersects(const std::set<T>& a, const std::set<T>& b) {
 }  // namespace
 
 void IncrementalSynthesizer::append(const trace::EventVector& sorted_segment) {
-  apply_delta(index_.append(sorted_segment));
+  const AppendDelta rows = index_.append(sorted_segment);
+  apply_delta(describe_rows(index_.view(), rows.first_row, rows.end_row));
 }
 
 void IncrementalSynthesizer::append(const trace::ColumnsView& view) {
-  apply_delta(index_.append(view));
+  const AppendDelta rows = index_.append(view);
+  apply_delta(describe_rows(index_.view(), rows.first_row, rows.end_row));
 }
 
 void IncrementalSynthesizer::apply_delta(const AppendDelta& delta) {

@@ -3,8 +3,9 @@
 // A full synthesis re-runs extraction for every node whenever any segment
 // arrives. This class instead keeps the appendable TraceIndex plus, per
 // node, the cached CBlist AND the extraction's read set (ExtractDeps).
-// When a segment lands, the AppendDelta the index reports is intersected
-// with each node's read set; only nodes whose inputs actually changed are
+// When a segment lands, the pids and keys of its appended rows (the
+// AppendDelta, derived here by describe_rows) are intersected with each
+// node's read set; only nodes whose inputs actually changed are
 // re-extracted. Because extraction is a pure function of (index, pid) and
 // the appended index is indistinguishable from a fully rebuilt one (see
 // TraceIndex), the incremental model is byte-identical to what a from-

@@ -323,39 +323,92 @@ EventVector materialize(const ColumnsView& view) {
   return out;
 }
 
-void validate_columns(const ColumnsView& v) {
-  for (std::size_t i = 0; i < v.count; ++i) {
-    try {
-      checked_timestamp(v.time[i]);
-      probe_id_from_int(v.probe[i]);
-      const EventType type = event_type_from_int(v.type[i]);
-      switch (type) {
-        case EventType::RmwCreateNode:
-          v.str(v.arg_c[i]);
-          break;
-        case EventType::DdsWrite:
-          checked_timestamp(v.arg_b[i]);
-          v.str(v.arg_c[i]);
-          break;
-        case EventType::CallbackStart:
-        case EventType::CallbackEnd:
-          callback_kind_from_int(v.aux[i]);
-          break;
-        case EventType::Take:
-          take_kind_from_int(v.aux[i]);
-          checked_timestamp(v.arg_b[i]);
-          v.str(v.arg_c[i]);
-          break;
-        case EventType::SchedSwitch:
-          thread_run_state_from_char(static_cast<char>(v.aux[i]));
-          break;
-        default:
-          break;
-      }
-    } catch (const std::invalid_argument& err) {
-      throw std::invalid_argument("invalid event row " + std::to_string(i) +
-                                  ": " + err.what());
+namespace {
+
+/// The per-row checks one at a time, each raising its own message; the
+/// fused pass below reruns them on the first row it rejects.
+void validate_row(const ColumnsView& v, std::size_t i) {
+  try {
+    checked_timestamp(v.time[i]);
+    probe_id_from_int(v.probe[i]);
+    const EventType type = event_type_from_int(v.type[i]);
+    switch (type) {
+      case EventType::RmwCreateNode:
+        v.str(v.arg_c[i]);
+        break;
+      case EventType::DdsWrite:
+        checked_timestamp(v.arg_b[i]);
+        v.str(v.arg_c[i]);
+        break;
+      case EventType::CallbackStart:
+      case EventType::CallbackEnd:
+        callback_kind_from_int(v.aux[i]);
+        break;
+      case EventType::Take:
+        take_kind_from_int(v.aux[i]);
+        checked_timestamp(v.arg_b[i]);
+        v.str(v.arg_c[i]);
+        break;
+      case EventType::SchedSwitch:
+        thread_run_state_from_char(static_cast<char>(v.aux[i]));
+        break;
+      default:
+        break;
     }
+  } catch (const std::invalid_argument& err) {
+    throw std::invalid_argument("invalid event row " + std::to_string(i) +
+                                ": " + err.what());
+  }
+}
+
+/// What validate_row accepts, as lookup tables over the byte columns.
+struct RowRules {
+  static constexpr int kTypes = static_cast<int>(EventType::SchedWakeup) + 1;
+  bool probe_ok[256] = {};
+  /// Per event type: the accepted aux bytes, and which of the arg_b /
+  /// arg_c columns the type uses.
+  bool aux_ok[kTypes][256] = {};
+  bool has_src_ts[kTypes] = {};
+  bool has_string[kTypes] = {};
+
+  RowRules() {
+    for (int p = static_cast<int>(ProbeId::P1_RmwCreateNode);
+         p <= static_cast<int>(ProbeId::SchedWakeup); ++p) {
+      probe_ok[p] = true;
+    }
+    for (int t = 0; t < kTypes; ++t) {
+      const auto type = static_cast<EventType>(t);
+      for (int aux = 0; aux < 256; ++aux) {
+        bool ok = true;
+        if (type == EventType::CallbackStart || type == EventType::CallbackEnd) {
+          ok = aux <= static_cast<int>(CallbackKind::Client);
+        } else if (type == EventType::Take) {
+          ok = aux <= static_cast<int>(TakeKind::Response);
+        } else if (type == EventType::SchedSwitch) {
+          const char c = static_cast<char>(aux);
+          ok = c == 'R' || c == 'S' || c == 'D' || c == 'X';
+        }
+        aux_ok[t][aux] = ok;
+      }
+      has_src_ts[t] = type == EventType::Take || type == EventType::DdsWrite;
+      has_string[t] = has_src_ts[t] || type == EventType::RmwCreateNode;
+    }
+  }
+};
+
+}  // namespace
+
+void validate_columns(const ColumnsView& v) {
+  static const RowRules rules;
+  for (std::size_t i = 0; i < v.count; ++i) {
+    const std::uint8_t type = v.type[i];
+    bool ok = type < RowRules::kTypes && rules.aux_ok[type][v.aux[i]] &&
+              rules.probe_ok[v.probe[i]] && timestamp_in_range(v.time[i]);
+    if (ok && rules.has_string[type]) {
+      ok = v.arg_c[i] < v.string_count &&
+           (!rules.has_src_ts[type] || timestamp_in_range(v.arg_b[i]));
+    }
+    if (!ok) validate_row(v, i);
   }
 }
 
