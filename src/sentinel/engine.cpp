@@ -12,7 +12,6 @@
 #include "support/statistics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
 
@@ -37,12 +36,6 @@ struct SentinelMetrics {
         "sentinel.findings", {{"kind", std::string(to_string(kind))}});
   }
 };
-
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.6g", v);
-  return buffer;
-}
 
 /// Raw per-label execution-time samples (ns) of a synthesized model. A
 /// label maps to exactly one record per node list; records from several
@@ -148,6 +141,12 @@ void add_structural_observations(
 
 }  // namespace
 
+std::string format_double(double v) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.6g", v);
+  return buffer;
+}
+
 DriftEngine::DriftEngine(SentinelConfig config)
     : config_(std::move(config)), session_(config_.synthesis) {}
 
@@ -237,26 +236,6 @@ api::Error DriftEngine::ensure_baseline() {
   }
   baseline_.valid = true;
   return {};
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze_file(
-    const std::string& path) {
-  const api::Error error = ensure_baseline();
-  if (error.code != api::ErrorCode::None) return error;
-  trace::EventVector events;
-  try {
-    events = trace::read_trace_file(path);
-  } catch (const std::exception& e) {
-    return api::Error{api::ErrorCode::Io, e.what(), path};
-  }
-  return analyze(std::move(events));
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
-  trace::sort_by_time(events);
-  trace::EventColumns columns;
-  columns.append(events);
-  return analyze(std::move(columns));
 }
 
 api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {

@@ -1,9 +1,10 @@
-// DriftEngine: the comparison core shared by the one-shot and streaming
-// sentinels. It owns the baseline (ingested through api::SynthesisSession
-// and cached as model + exec samples + chain envelopes) and evaluates one
-// window of events against it, reporting both the per-window verdict
-// (one-shot thresholds) and the raw per-axis observations the streaming
-// layer feeds into its sequential accumulators.
+// DriftEngine: the comparison core behind the sentinel's one-shot checks
+// and its stream windows. It owns the baseline (ingested through
+// api::SynthesisSession and cached as model + exec samples + chain
+// envelopes) and evaluates one window of events against it, reporting
+// both the per-window verdict (one-shot thresholds) and the raw per-axis
+// observations the streaming layer feeds into its sequential
+// accumulators.
 #pragma once
 
 #include <array>
@@ -43,6 +44,9 @@ struct AxisObservation {
   std::string detail;          ///< set when finding is true
 };
 
+/// A number in finding details ("%.6g").
+std::string format_double(double v);
+
 struct WindowAnalysis {
   DriftVerdict verdict;  ///< one-shot semantics, findings sorted
   std::vector<AxisObservation> observations;
@@ -66,14 +70,10 @@ class DriftEngine {
 
   // -- window evaluation --------------------------------------------------
 
-  /// Synthesizes `events` as one window (in an ephemeral session, so
-  /// long streams do not accumulate per-window state) and compares it
-  /// against the baseline.
+  /// Synthesizes the time-sorted `events` as one window (in an ephemeral
+  /// session, so long streams do not accumulate per-window state) and
+  /// compares it against the baseline.
   api::Result<WindowAnalysis> analyze(trace::EventColumns events);
-  /// Same over rows: sorted by time, then encoded as columns.
-  api::Result<WindowAnalysis> analyze(trace::EventVector events);
-  /// Reads a JSONL or .ttb trace file and analyzes it as one window.
-  api::Result<WindowAnalysis> analyze_file(const std::string& path);
 
   // -- introspection ------------------------------------------------------
 

@@ -1,82 +1,12 @@
-// Model regression sentinel: one-shot drift detection against a baseline
-// synthesized model.
-//
-// The paper synthesizes a timing model once from a recorded trace; a
-// fleet operator re-synthesizes continuously and needs to know when the
-// model stopped matching reality. ModelSentinel holds a baseline
-// (ingested as one or more trace segments through the streaming
-// api::SynthesisSession machinery), accepts fresh trace windows, and
-// emits a structured DriftVerdict per window covering both drift axes the
-// related work motivates: structural DAG/connectivity changes and timing
-// envelope violations.
-//
-//   sentinel::ModelSentinel sentinel;
-//   sentinel.ingest_baseline_file("baseline.jsonl");
-//   auto verdict = sentinel.check_file("window.jsonl");
-//   if (verdict.ok() && verdict->drifted) alert(verdict_to_json(*verdict));
-//
-// ModelSentinel is a thin one-window wrapper over sentinel::StreamSentinel
-// (sentinel/stream.hpp), which additionally accumulates evidence
-// *sequentially* across a sliding window over a continuous stream. Both
-// entry points share one SentinelConfig (sentinel/config.hpp) and one
-// verdict vocabulary (sentinel/verdict.hpp).
+// ModelSentinel: the one-shot name of sentinel::StreamSentinel
+// (sentinel/stream.hpp), kept so callers written against the one-shot
+// API (ingest_baseline*, check, check_file) compile unchanged.
 #pragma once
 
-#include <cstddef>
-#include <string>
-
-#include "api/result.hpp"
-#include "core/model_synthesis.hpp"
-#include "sentinel/config.hpp"
 #include "sentinel/stream.hpp"
-#include "sentinel/verdict.hpp"
-#include "trace/event.hpp"
 
 namespace tetra::sentinel {
 
-class ModelSentinel {
- public:
-  ModelSentinel() : ModelSentinel(SentinelConfig{}) {}
-  explicit ModelSentinel(SentinelConfig config) : stream_(std::move(config)) {}
-
-  // -- baseline -----------------------------------------------------------
-
-  /// Adds one event segment to the baseline trace. May be called several
-  /// times (segments k-way merge); the baseline model is re-synthesized
-  /// lazily on the next check.
-  api::Result<api::SegmentInfo> ingest_baseline(trace::EventVector events) {
-    return stream_.ingest_baseline(std::move(events));
-  }
-  /// Reads a JSONL or .ttb trace file into the baseline.
-  api::Result<api::SegmentInfo> ingest_baseline_file(const std::string& path) {
-    return stream_.ingest_baseline_file(path);
-  }
-
-  /// The baseline model (synthesizing it first if dirty).
-  api::Result<core::TimingModel> baseline_model() {
-    return stream_.baseline_model();
-  }
-
-  // -- window checks ------------------------------------------------------
-
-  /// Synthesizes `events` as a fresh window, compares it against the
-  /// baseline and returns the verdict. InvalidArgument before any
-  /// baseline was ingested.
-  api::Result<DriftVerdict> check(trace::EventVector events) {
-    return stream_.check_window(std::move(events));
-  }
-  /// Reads a JSONL or .ttb trace file and checks it as a window.
-  api::Result<DriftVerdict> check_file(const std::string& path) {
-    return stream_.check_window_file(path);
-  }
-
-  // -- introspection ------------------------------------------------------
-
-  const SentinelConfig& options() const { return stream_.config(); }
-  std::size_t windows_checked() const { return stream_.windows_checked(); }
-
- private:
-  StreamSentinel stream_;
-};
+using ModelSentinel = StreamSentinel;
 
 }  // namespace tetra::sentinel

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <optional>
 #include <tuple>
@@ -17,10 +16,42 @@ namespace tetra::sentinel {
 
 namespace {
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.6g", v);
-  return buffer;
+/// Rows as one time-sorted columns batch, sorted only when unsorted.
+trace::EventColumns sorted_columns(trace::EventVector events) {
+  if (!trace::is_time_sorted(events)) trace::sort_by_time(events);
+  trace::EventColumns columns;
+  columns.append(events);
+  return columns;
+}
+
+/// A trace file as the sentinel reads it, for one-shot checks and feeds
+/// alike: a time-sorted .ttb file stays mapped and is used in place;
+/// anything else (JSONL, an unsorted .ttb) is decoded and time-sorted.
+struct TraceFile {
+  std::optional<trace::TtbReader> mapped;
+  trace::EventColumns decoded;
+
+  trace::ColumnsView view() const {
+    return mapped.has_value() ? mapped->view() : decoded.view();
+  }
+};
+
+api::Error load_trace_file(const std::string& path, TraceFile& file) {
+  try {
+    if (!trace::is_ttb_file(path)) {
+      file.decoded = sorted_columns(trace::read_jsonl_file(path));
+      return {};
+    }
+    trace::TtbReader reader(path);
+    if (trace::is_time_sorted(reader.view())) {
+      file.mapped.emplace(std::move(reader));
+    } else {
+      file.decoded = sorted_columns(reader.materialize());
+    }
+  } catch (const std::exception& e) {
+    return api::Error{api::ErrorCode::Io, e.what(), path};
+  }
+  return {};
 }
 
 struct StreamMetrics {
@@ -84,16 +115,23 @@ api::Result<core::TimingModel> StreamSentinel::baseline_model() {
   return engine_.baseline_model();
 }
 
-api::Result<DriftVerdict> StreamSentinel::check_window(
-    trace::EventVector events) {
-  auto analysis = engine_.analyze(std::move(events));
+api::Result<DriftVerdict> StreamSentinel::check(trace::EventVector events) {
+  auto analysis = engine_.analyze(sorted_columns(std::move(events)));
   if (!analysis.ok()) return analysis.error();
   return std::move(analysis).take().verdict;
 }
 
-api::Result<DriftVerdict> StreamSentinel::check_window_file(
-    const std::string& path) {
-  auto analysis = engine_.analyze_file(path);
+api::Result<DriftVerdict> StreamSentinel::check_file(const std::string& path) {
+  api::Error error = engine_.ensure_baseline();
+  if (error.code != api::ErrorCode::None) return error;
+  TraceFile file;
+  error = load_trace_file(path, file);
+  if (error.code != api::ErrorCode::None) return error;
+  // The window session takes its columns over, so a mapped file is
+  // copied once; decoded columns move in.
+  trace::EventColumns window = std::move(file.decoded);
+  if (file.mapped.has_value()) window.append(file.mapped->view());
+  auto analysis = engine_.analyze(std::move(window));
   if (!analysis.ok()) return analysis.error();
   return std::move(analysis).take().verdict;
 }
@@ -117,34 +155,16 @@ api::Error StreamSentinel::check_ready() {
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
     trace::EventVector events) {
-  if (!trace::is_time_sorted(events)) trace::sort_by_time(events);
-  trace::EventColumns batch;
-  batch.append(events);
+  const trace::EventColumns batch = sorted_columns(std::move(events));
   return feed_sorted(batch.view());
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
     const std::string& path) {
-  std::optional<trace::TtbReader> file;
-  trace::EventVector rows;
-  try {
-    if (trace::is_ttb_file(path)) {
-      file.emplace(path);
-    } else {
-      rows = trace::read_jsonl_file(path);
-    }
-    // Rows out of time order take the sorting rows path.
-    if (file.has_value() && !trace::is_time_sorted(file->view())) {
-      rows = file->materialize();
-      file.reset();
-    }
-  } catch (const std::exception& e) {
-    return api::Error{api::ErrorCode::Io, e.what(), path};
-  }
-  // A time-sorted .ttb file goes from its mapped columns straight into
-  // the buffer.
-  if (file.has_value()) return feed_sorted(file->view());
-  return feed(std::move(rows));
+  TraceFile file;
+  const api::Error error = load_trace_file(path, file);
+  if (error.code != api::ErrorCode::None) return error;
+  return feed_sorted(file.view());
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_sorted(

@@ -1,14 +1,28 @@
-// StreamSentinel: continuous drift detection over an event stream.
+// StreamSentinel: drift detection against a baseline synthesized model,
+// one-shot and over a continuous event stream.
 //
-// Events arrive incrementally (feed / feed_file); a sliding window of
-// configurable span and advance is maintained over the stream, and every
-// window advance re-runs the drift axes against the baseline through the
-// shared DriftEngine. Unlike the one-shot ModelSentinel, per-axis
-// evidence accumulates *sequentially* across windows — a one-sided CUSUM
-// over period/latency deltas and structural presence, and a restarted
-// e-process over the per-window KS p-values — so an alarm fires when the
-// accumulated evidence crosses a budgeted level (Ville's inequality), not
-// when one window happens to look odd.
+// The paper synthesizes a timing model once from a recorded trace; a
+// fleet operator re-synthesizes continuously and needs to know when the
+// model stopped matching reality. The sentinel holds a baseline (one or
+// more trace segments ingested through api::SynthesisSession) and
+// compares fresh windows against it through its DriftEngine.
+//
+// One-shot checks (check / check_file) evaluate one independent window
+// with per-window thresholds:
+//
+//   sentinel::StreamSentinel sentinel;
+//   sentinel.ingest_baseline_file("baseline.jsonl");
+//   auto verdict = sentinel.check_file("window.jsonl");
+//   if (verdict.ok() && verdict->drifted) alert(verdict_to_json(*verdict));
+//
+// Streaming (feed / feed_file) maintains a sliding window of
+// configurable span and advance over incrementally arriving events, and
+// every window advance re-runs the drift axes against the baseline. There
+// per-axis evidence accumulates *sequentially* across windows — a
+// one-sided CUSUM over period/latency deltas and structural presence, and
+// a restarted e-process over the per-window KS p-values — so an alarm
+// fires when the accumulated evidence crosses a budgeted level (Ville's
+// inequality), not when one window happens to look odd.
 //
 //   sentinel::StreamSentinel stream(config);
 //   stream.ingest_baseline_file("baseline.jsonl");
@@ -54,13 +68,16 @@ class StreamSentinel {
   /// The baseline model (synthesizing it first if dirty).
   api::Result<core::TimingModel> baseline_model();
 
-  // -- one-shot windows (ModelSentinel compatibility) ---------------------
+  // -- one-shot windows ---------------------------------------------------
 
   /// Synthesizes `events` as one independent window and compares it
   /// against the baseline; no streaming state is touched.
-  api::Result<DriftVerdict> check_window(trace::EventVector events);
-  /// Reads a JSONL or .ttb trace file and checks it as one window.
-  api::Result<DriftVerdict> check_window_file(const std::string& path);
+  /// InvalidArgument before any baseline was ingested.
+  api::Result<DriftVerdict> check(trace::EventVector events);
+  /// Reads a JSONL or .ttb trace file and checks it as one window. A
+  /// time-sorted .ttb file is copied from its mapped columns without
+  /// decoding rows.
+  api::Result<DriftVerdict> check_file(const std::string& path);
 
   // -- streaming ----------------------------------------------------------
 

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -567,6 +568,29 @@ TEST_F(SentinelGoldenTest, DeadlineViolationFiresOnConfiguredChain) {
         deadline_finding || finding.kind == DriftKind::DeadlineViolation;
   }
   EXPECT_TRUE(deadline_finding) << verdict_to_json(*verdict);
+}
+
+TEST(SentinelTtbGoldenTest, TtbTwinsRenderTheGoldenVerdict) {
+  // check_file uses a time-sorted .ttb window from its mapped columns and
+  // decodes a JSONL window to rows; the .ttb twins of the golden baseline
+  // and drift window must render the JSONL golden verdict byte for byte.
+  const auto ttb_twin = [](const std::string& name) {
+    const std::string path = ::testing::TempDir() + name + ".ttb";
+    trace::write_ttb_file(path,
+                          trace::read_jsonl_file(data_path(name + ".jsonl")));
+    return path;
+  };
+  const std::string baseline = ttb_twin("scenario_seed7_trace");
+  const std::string window = ttb_twin("sentinel_seed7_drift");
+  ModelSentinel sentinel;
+  ASSERT_TRUE(sentinel.ingest_baseline_file(baseline).ok());
+  const auto verdict = sentinel.check_file(window);
+  ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
+  std::string golden = read_file(data_path("sentinel_seed7_verdict.json"));
+  if (!golden.empty() && golden.back() == '\n') golden.pop_back();
+  EXPECT_EQ(verdict_to_json(*verdict), golden);
+  std::remove(baseline.c_str());
+  std::remove(window.c_str());
 }
 
 // ---- stream paths: rows and .ttb feeds agree with recorded verdicts ---------

@@ -462,5 +462,76 @@ TEST(PredictCliTest, WorkerSweepRuns) {
   EXPECT_NE(result.output.find("node0@4w"), std::string::npos);
 }
 
+TEST(AllToolsCliTest, HelpUnknownFlagAndMissingValue) {
+  // Every tool parses its flags through tools/cli.hpp: --help exits 0,
+  // and an unknown flag or a value flag at the end of argv is a usage
+  // error (exit 2) before any work starts.
+  const std::pair<const char*, const char*> tools[] = {
+      {"tetra_synth", "--trace"},
+      {"tetra_predict", "--trace"},
+      {"tetra_record_demo", "--out"},
+      {"tetra_scenario", "--seed"},
+      {"tetra_sentinel", "--baseline"}};
+  for (const auto& [tool, value_flag] : tools) {
+    if (!binary_exists(tool)) continue;
+    EXPECT_EQ(run_command(binary(tool) + " --help").exit_code, 0) << tool;
+    EXPECT_EQ(run_command(binary(tool) + " --no-such-flag").exit_code, 2)
+        << tool;
+    EXPECT_EQ(run_command(binary(tool) + " " + value_flag).exit_code, 2)
+        << tool;
+  }
+}
+
+TEST(PredictCliTest, OutOfDomainValuesExitTwo) {
+  // Most of these used to be accepted: a zero period never fires, a
+  // negative scale ranks as the best candidate, LO > HI or a negative
+  // hop bound failed mid-replay, and atoi read "2x" as 2.
+  REQUIRE_TOOL("tetra_predict");
+  const std::string base = binary("tetra_predict") + " --trace " +
+                           std::string(TETRA_TEST_DATA_DIR) +
+                           "/scenario_seed7_trace.jsonl --quiet ";
+  const char* bad_values[] = {
+      "--timer-period node0/T1=0",   "--timer-period node0/T1=-5",
+      "--input-period /tp0=0",       "--sweep-timer node0/T1=0,5",
+      "--scale-exec node0/T1=-1",    "--scale-exec-all -0.5",
+      "--sweep-exec -1,1",           "--hop-us 500:100",
+      "--hop-us -5000:-1000",        "--cpus 2x",
+      "--threads 2x",                "--workers node0=2x",
+      "--sweep-cpus 1,2x",           "--sweep-workers node0=1,0"};
+  for (const char* args : bad_values) {
+    EXPECT_EQ(run_command(base + args).exit_code, 2) << args;
+  }
+}
+
+TEST(PredictCliTest, UnwritableJsonExitsOne) {
+  REQUIRE_TOOL("tetra_predict");
+  EXPECT_EQ(run_command(binary("tetra_predict") + " --trace " +
+                        std::string(TETRA_TEST_DATA_DIR) +
+                        "/scenario_seed7_trace.jsonl --quiet --json "
+                        "/nonexistent/dir/prediction.json")
+                .exit_code,
+            1);
+}
+
+TEST(SynthCliTest, TrailingJunkInThreadsExitsTwo) {
+  REQUIRE_TOOL("tetra_synth");
+  EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " +
+                        std::string(TETRA_TEST_DATA_DIR) +
+                        "/scenario_seed7_trace.jsonl --threads 2x")
+                .exit_code,
+            2);
+}
+
+TEST(RecordDemoCliTest, BadValuesExitTwo) {
+  // atoi/strtoull used to read these as 0: nothing recorded (or a run of
+  // negative length), exit 0.
+  REQUIRE_TOOL("tetra_record_demo");
+  const std::string base = binary("tetra_record_demo") + " --out " +
+                           ::testing::TempDir() + "record_demo --duration 1 ";
+  for (const char* args : {"--runs abc", "--duration -1", "--seed xyz"}) {
+    EXPECT_EQ(run_command(base + args).exit_code, 2) << args;
+  }
+}
+
 }  // namespace
 }  // namespace tetra

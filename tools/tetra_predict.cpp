@@ -28,85 +28,73 @@
 // Exit status: 0 only when the replay measured at least one complete
 // chain traversal (in sweep mode: for the best-ranked candidate) — a
 // prediction that measured nothing is a failed round trip, --quiet or
-// not. 1 on errors/empty predictions, 2 on usage errors.
+// not. 1 on errors/empty predictions, 2 on usage errors, which include
+// any flag value outside its domain (a period <= 0, a negative scale,
+// LO > HI): every value is checked before a trace is read.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/session.hpp"
+#include "cli.hpp"
 #include "predict/report.hpp"
 #include "predict/what_if.hpp"
-#include "support/string_utils.hpp"
 #include "tool_stats.hpp"
 
 namespace {
 
 using namespace tetra;
 
-void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --trace FILE [--trace FILE ...]\n"
-      "          [--merge-dags | --merge-traces] [--threads N]\n"
-      "          [--horizon SEC] [--seed N] [--hop-us LO:HI]\n"
-      "          [--input-period TOPIC=MS] [--timer-period KEY=MS]\n"
-      "          [--scale-exec KEY=F] [--scale-exec-all F] [--prune KEY]\n"
-      "          [--cpus N] [--workers NODE=N]\n"
-      "          [--sweep-timer KEY=MS1,MS2,...] [--sweep-exec F1,F2,...]\n"
-      "          [--sweep-cpus N1,N2,...] [--sweep-workers NODE=N1,N2,...]\n"
-      "          [--objective worst-mean|worst-p99|worst-max|mean-mean]\n"
-      "          [--json FILE] [--report] [--quiet]\n"
-      "          [--stats] [--stats-out FILE]\n"
-      "--report additionally prints the best candidate's chain table in\n"
-      "sweep mode (single predictions always print theirs).\n",
-      argv0);
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  std::exit(2);
-}
-
-/// Splits "key=value"; dies when '=' is missing.
-std::pair<std::string, std::string> split_kv(const std::string& arg,
-                                             const std::string& flag) {
+/// Splits "KEY=VALUE" at its first '='; false when there is no key.
+bool split_pair(const std::string& arg, std::string* key, std::string* value) {
   const std::size_t eq = arg.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    die(flag + " expects KEY=VALUE, got '" + arg + "'");
-  }
-  return {arg.substr(0, eq), arg.substr(eq + 1)};
+  if (eq == std::string::npos || eq == 0) return false;
+  *key = arg.substr(0, eq);
+  *value = arg.substr(eq + 1);
+  return true;
 }
 
-double parse_double(const std::string& value, const std::string& flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    die(flag + " expects a number, got '" + value + "'");
-  }
-  return parsed;
+/// A KEY=VALUE flag that stores parse(VALUE) in (*map)[KEY].
+template <typename Map, typename Parse>
+std::function<bool(const std::string&)> keyed(Map* map, Parse parse) {
+  return [map, parse](const std::string& arg) {
+    std::string key, value;
+    return split_pair(arg, &key, &value) && parse(value, &(*map)[key]);
+  };
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
+/// Parses every item of a comma list with `parse_one`; false when any
+/// item fails.
+template <typename T, typename Parse>
+bool parse_list(const std::string& csv, Parse parse_one, std::vector<T>* out) {
   std::size_t start = 0;
-  while (start <= csv.size()) {
+  while (true) {
     const std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(csv.substr(start));
-      break;
-    }
-    out.push_back(csv.substr(start, comma - start));
+    T item{};
+    if (!parse_one(csv.substr(start, comma - start), &item)) return false;
+    out->push_back(item);
+    if (comma == std::string::npos) return true;
     start = comma + 1;
   }
-  return out;
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) die("cannot write " + path);
-  f << content;
+/// A period in ms; it must come out positive in nanoseconds.
+bool parse_period(const std::string& ms, Duration* out) {
+  double value = 0.0;
+  if (!tools::parse_number(ms, &value)) return false;
+  *out = Duration::ms_f(value);
+  return *out > Duration::zero();
+}
+
+/// An execution-time scale factor, >= 0.
+bool parse_scale(const std::string& text, double* out) {
+  return tools::parse_number(text, out) && *out >= 0.0;
+}
+
+/// A CPU or worker count, >= 1.
+bool parse_count(const std::string& text, int* out) {
+  return tools::parse_number(text, out) && *out >= 1;
 }
 
 }  // namespace
@@ -116,6 +104,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   bool report = false;
   api::SynthesisConfig synth_config;
+  int threads = synth_config.threads();
   predict::PredictionConfig prediction;
 
   // Sweep requests are collected as flags and applied onto the explorer.
@@ -125,135 +114,142 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::vector<int>>> worker_sweeps;
   predict::Objective objective = predict::Objective::WorstChainP99;
   bool quiet = false;
-  tetra::tools::StatsOptions stats;
+  tools::StatsOptions stats;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) die(arg + " requires a value");
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      trace_paths.push_back(next());
-    } else if (arg == "--merge-traces") {
-      synth_config.merge_strategy(api::MergeStrategy::MergeTraces);
-    } else if (arg == "--merge-dags") {
-      synth_config.merge_strategy(api::MergeStrategy::MergeDags);
-    } else if (arg == "--threads") {
-      const int threads = std::atoi(next().c_str());
-      if (threads < 1) die("--threads expects a positive integer");
-      synth_config.threads(threads);
-    } else if (arg == "--horizon") {
-      prediction.horizon =
-          Duration::ms_f(parse_double(next(), "--horizon") * 1e3);
-      if (prediction.horizon <= Duration::zero()) {
-        die("--horizon expects a positive number of seconds");
-      }
-    } else if (arg == "--seed") {
-      const std::string value = next();
-      char* end = nullptr;
-      prediction.seed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        die("--seed expects an unsigned integer, got '" + value + "'");
-      }
-    } else if (arg == "--hop-us") {
-      const std::string value = next();
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) die("--hop-us expects LO:HI");
-      prediction.hop_latency.lo = Duration::ms_f(
-          parse_double(value.substr(0, colon), "--hop-us") / 1e3);
-      prediction.hop_latency.hi = Duration::ms_f(
-          parse_double(value.substr(colon + 1), "--hop-us") / 1e3);
-    } else if (arg == "--input-period") {
-      const auto [topic, ms] = split_kv(next(), "--input-period");
-      prediction.input_period[topic] =
-          Duration::ms_f(parse_double(ms, "--input-period"));
-    } else if (arg == "--timer-period") {
-      const auto [key, ms] = split_kv(next(), "--timer-period");
-      prediction.timer_period[key] =
-          Duration::ms_f(parse_double(ms, "--timer-period"));
-    } else if (arg == "--scale-exec") {
-      const auto [key, factor] = split_kv(next(), "--scale-exec");
-      prediction.exec_scale[key] = parse_double(factor, "--scale-exec");
-    } else if (arg == "--scale-exec-all") {
-      prediction.global_exec_scale = parse_double(next(), "--scale-exec-all");
-    } else if (arg == "--prune") {
-      prediction.pruned.insert(next());
-    } else if (arg == "--cpus") {
-      const int cpus = std::atoi(next().c_str());
-      if (cpus < 1) die("--cpus expects a positive integer");
-      predict::ExecutorMapping mapping;
-      mapping.num_cpus = cpus;
-      prediction.executors = mapping;
-    } else if (arg == "--workers") {
-      const auto [node, count] = split_kv(next(), "--workers");
-      const int workers =
-          static_cast<int>(parse_double(count, "--workers"));
-      if (workers < 1) die("--workers expects NODE=N with N >= 1");
-      prediction.workers[node] = workers;
-    } else if (arg == "--sweep-workers") {
-      const auto [node, csv] = split_kv(next(), "--sweep-workers");
-      std::vector<int> counts;
-      for (const std::string& n : split_list(csv)) {
-        const int workers = static_cast<int>(parse_double(n, "--sweep-workers"));
-        if (workers < 1) die("--sweep-workers expects counts >= 1");
-        counts.push_back(workers);
-      }
-      worker_sweeps.push_back({node, std::move(counts)});
-    } else if (arg == "--sweep-timer") {
-      const auto [key, csv] = split_kv(next(), "--sweep-timer");
-      std::vector<Duration> periods;
-      for (const std::string& ms : split_list(csv)) {
-        periods.push_back(Duration::ms_f(parse_double(ms, "--sweep-timer")));
-      }
-      timer_sweeps.push_back({key, std::move(periods)});
-    } else if (arg == "--sweep-exec") {
-      for (const std::string& f : split_list(next())) {
-        exec_sweep.push_back(parse_double(f, "--sweep-exec"));
-      }
-    } else if (arg == "--sweep-cpus") {
-      for (const std::string& n : split_list(next())) {
-        const int cpus = static_cast<int>(parse_double(n, "--sweep-cpus"));
-        if (cpus < 1) die("--sweep-cpus expects positive integers");
-        cpu_sweep.push_back(cpus);
-      }
-    } else if (arg == "--objective") {
-      const std::string value = next();
-      if (value == "worst-mean") {
-        objective = predict::Objective::WorstChainMean;
-      } else if (value == "worst-p99") {
-        objective = predict::Objective::WorstChainP99;
-      } else if (value == "worst-max") {
-        objective = predict::Objective::WorstChainMax;
-      } else if (value == "mean-mean") {
-        objective = predict::Objective::MeanOfMeans;
-      } else {
-        die("unknown objective '" + value + "'");
-      }
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--report") {
-      report = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--stats") {
-      stats.summary = true;
-    } else if (arg == "--stats-out") {
-      stats.out_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
+  tools::FlagRegistry cli("tetra_predict");
+  cli.flag("--trace", "FILE", "input trace, JSONL or .ttb (repeatable)",
+           &trace_paths)
+      .flag("--merge-dags", "synthesize per trace, merge the DAGs (default)",
+            [&synth_config] {
+              synth_config.merge_strategy(api::MergeStrategy::MergeDags);
+            })
+      .flag("--merge-traces", "merge the event streams, then synthesize",
+            [&synth_config] {
+              synth_config.merge_strategy(api::MergeStrategy::MergeTraces);
+            })
+      .flag("--threads", "N", "synthesis worker threads", &threads, 1)
+      .flag("--horizon", "SEC", "simulated replay horizon in seconds",
+            "a positive number of seconds",
+            [&prediction](const std::string& value) {
+              double seconds = 0.0;
+              if (!tools::parse_number(value, &seconds)) return false;
+              prediction.horizon = Duration::ms_f(seconds * 1e3);
+              return prediction.horizon > Duration::zero();
+            })
+      .flag("--seed", "N", "base seed of the sampling streams",
+            &prediction.seed)
+      .flag("--hop-us", "LO:HI", "per-hop latency bounds in microseconds",
+            "LO:HI with 0 <= LO <= HI",
+            [&prediction](const std::string& value) {
+              const std::size_t colon = value.find(':');
+              double lo = 0.0;
+              double hi = 0.0;
+              if (colon == std::string::npos ||
+                  !tools::parse_number(value.substr(0, colon), &lo) ||
+                  !tools::parse_number(value.substr(colon + 1), &hi) ||
+                  lo < 0.0 || lo > hi) {
+                return false;
+              }
+              prediction.hop_latency.lo = Duration::ms_f(lo / 1e3);
+              prediction.hop_latency.hi = Duration::ms_f(hi / 1e3);
+              return true;
+            })
+      .flag("--input-period", "TOPIC=MS", "period of an input topic",
+            "TOPIC=MS with MS > 0",
+            keyed(&prediction.input_period, parse_period))
+      .flag("--timer-period", "KEY=MS", "period of a timer callback",
+            "KEY=MS with MS > 0", keyed(&prediction.timer_period, parse_period))
+      .flag("--scale-exec", "KEY=F", "scale one callback's execution time",
+            "KEY=F with F >= 0", keyed(&prediction.exec_scale, parse_scale))
+      .flag("--scale-exec-all", "F", "scale every execution time", "F >= 0",
+            [&prediction](const std::string& value) {
+              return parse_scale(value, &prediction.global_exec_scale);
+            })
+      .flag("--prune", "KEY", "drop a callback from the replay (repeatable)",
+            "a callback key",
+            [&prediction](const std::string& value) {
+              prediction.pruned.insert(value);
+              return true;
+            })
+      .flag("--cpus", "N", "contention-aware replay on N simulated CPUs",
+            "an integer >= 1",
+            [&prediction](const std::string& value) {
+              predict::ExecutorMapping mapping;
+              if (!parse_count(value, &mapping.num_cpus)) return false;
+              prediction.executors = mapping;
+              return true;
+            })
+      .flag("--workers", "NODE=N", "executor worker count of a node",
+            "NODE=N with N >= 1", keyed(&prediction.workers, parse_count))
+      .flag("--sweep-timer", "KEY=MS1,MS2,...", "candidate timer periods",
+            "KEY=MS1,MS2,... with every MS > 0",
+            [&timer_sweeps](const std::string& value) {
+              std::string key, csv;
+              std::vector<Duration> periods;
+              if (!split_pair(value, &key, &csv) ||
+                  !parse_list(csv, parse_period, &periods)) {
+                return false;
+              }
+              timer_sweeps.emplace_back(key, std::move(periods));
+              return true;
+            })
+      .flag("--sweep-exec", "F1,F2,...", "candidate global exec scales",
+            "F1,F2,... with every F >= 0",
+            [&exec_sweep](const std::string& value) {
+              return parse_list(value, parse_scale, &exec_sweep);
+            })
+      .flag("--sweep-cpus", "N1,N2,...", "candidate simulated CPU counts",
+            "N1,N2,... with every N >= 1",
+            [&cpu_sweep](const std::string& value) {
+              return parse_list(value, parse_count, &cpu_sweep);
+            })
+      .flag("--sweep-workers", "NODE=N1,N2,...",
+            "candidate worker counts of a node",
+            "NODE=N1,N2,... with every N >= 1",
+            [&worker_sweeps](const std::string& value) {
+              std::string node, csv;
+              std::vector<int> counts;
+              if (!split_pair(value, &node, &csv) ||
+                  !parse_list(csv, parse_count, &counts)) {
+                return false;
+              }
+              worker_sweeps.emplace_back(node, std::move(counts));
+              return true;
+            })
+      .flag("--objective", "NAME", "sweep ranking objective",
+            "worst-mean | worst-p99 | worst-max | mean-mean",
+            [&objective](const std::string& value) {
+              if (value == "worst-mean") {
+                objective = predict::Objective::WorstChainMean;
+              } else if (value == "worst-p99") {
+                objective = predict::Objective::WorstChainP99;
+              } else if (value == "worst-max") {
+                objective = predict::Objective::WorstChainMax;
+              } else if (value == "mean-mean") {
+                objective = predict::Objective::MeanOfMeans;
+              } else {
+                return false;
+              }
+              return true;
+            })
+      .flag("--json", "FILE", "write the prediction JSON", &json_path)
+      .flag("--report",
+            "also print the best candidate's chain table in sweep mode",
+            &report)
+      .flag("--quiet", "suppress the tables on stdout", &quiet)
+      .flag("--stats", "print the telemetry summary table", &stats.summary)
+      .flag("--stats-out", "FILE", "write the telemetry JSON snapshot",
+            &stats.out_path);
+
+  switch (cli.parse(argc, argv)) {
+    case tools::FlagRegistry::Parse::Help: return 0;
+    case tools::FlagRegistry::Parse::Error: return 2;
+    case tools::FlagRegistry::Parse::Ok: break;
   }
   if (trace_paths.empty()) {
-    std::fprintf(stderr, "error: at least one --trace FILE is required\n");
-    usage(argv[0]);
-    return 2;
+    return cli.usage_error("at least one --trace FILE is required");
   }
+  synth_config.threads(threads);
 
   try {
     api::SynthesisSession session(synth_config);
@@ -335,7 +331,7 @@ int main(int argc, char** argv) {
                    prediction.max_chains);
     }
     if (!json_path.empty()) {
-      write_file(json_path, json + "\n");
+      tools::write_file(json_path, json + "\n");
       std::fprintf(stderr, "wrote %s\n", json_path.c_str());
     }
     if (measured == 0) {
@@ -349,5 +345,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return tetra::tools::emit_stats(stats);
+  return tools::emit_stats(stats);
 }

@@ -6,10 +6,11 @@
 //                     [--duration SECONDS] [--seed S] [--out PREFIX]
 //
 // Output: PREFIX-<run>.jsonl (default: trace-0.jsonl, trace-1.jsonl, ...).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "cli.hpp"
 #include "ebpf/tracers.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
@@ -24,31 +25,21 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string prefix = "trace";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--workload") workload = next();
-    else if (arg == "--runs") runs = std::atoi(next().c_str());
-    else if (arg == "--duration") seconds = std::atoi(next().c_str());
-    else if (arg == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--out") prefix = next();
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--workload syn|avp|both] [--runs N]\n"
-                   "          [--duration SECONDS] [--seed S] [--out PREFIX]\n",
-                   argv[0]);
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  if (workload != "syn" && workload != "avp" && workload != "both") {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return 2;
+  tools::FlagRegistry cli("tetra_record_demo");
+  cli.flag("--workload", "NAME", "application to record", "syn | avp | both",
+           [&workload](const std::string& value) {
+             workload = value;
+             return value == "syn" || value == "avp" || value == "both";
+           })
+      .flag("--runs", "N", "runs to record, one trace file each", &runs, 1)
+      .flag("--duration", "SECONDS", "simulated run duration", &seconds, 1)
+      .flag("--seed", "S", "seed of the first run (run k uses S + k)", &seed)
+      .flag("--out", "PREFIX", "output path prefix", &prefix);
+
+  switch (cli.parse(argc, argv)) {
+    case tools::FlagRegistry::Parse::Help: return 0;
+    case tools::FlagRegistry::Parse::Error: return 2;
+    case tools::FlagRegistry::Parse::Ok: break;
   }
 
   for (int run = 0; run < runs; ++run) {

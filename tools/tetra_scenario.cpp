@@ -45,9 +45,6 @@
 // --stats-out dump the telemetry snapshot (docs/TELEMETRY.md).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 
@@ -61,16 +58,6 @@
 #include "tool_stats.hpp"
 #include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
-
-namespace {
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  f << content;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tetra;
@@ -90,42 +77,22 @@ int main(int argc, char** argv) {
   scenario::RunnerOptions runner_options;
 
   int duration_ms = 0;
-  bool duration_given = false;
+  int sample_every = static_cast<int>(
+      runner_options.probe_profile.sample_every);
 
   tools::FlagRegistry cli("tetra_scenario");
   cli.flag("--seed", "N", "base scenario seed (required)",
-           [&seed, &seed_given](const std::string& value, std::string* error) {
-             char* end = nullptr;
-             const unsigned long long parsed =
-                 std::strtoull(value.c_str(), &end, 10);
-             if (end == value.c_str() || *end != '\0') {
-               *error = "--seed expects a non-negative integer, got '" +
-                        value + "'";
-               return false;
-             }
-             seed = parsed;
-             seed_given = true;
-             return true;
+           "a non-negative integer",
+           [&seed, &seed_given](const std::string& value) {
+             seed_given = tools::parse_number(value, &seed);
+             return seed_given;
            })
       .flag("--count", "K", "scenarios to run, seeds N..N+K-1", &count, 1)
       .flag("--validate", "diff each synthesized DAG against ground truth",
             &validate)
       .flag("--cpus", "C", "simulated CPU count", &generator_options.num_cpus,
             1)
-      .flag("--duration-ms", "D", "simulated run duration",
-            [&duration_ms, &duration_given](const std::string& value,
-                                            std::string* error) {
-              char* end = nullptr;
-              const long parsed = std::strtol(value.c_str(), &end, 10);
-              if (end == value.c_str() || *end != '\0' || parsed < 1) {
-                *error = "--duration-ms expects a positive integer, got '" +
-                         value + "'";
-                return false;
-              }
-              duration_ms = static_cast<int>(parsed);
-              duration_given = true;
-              return true;
-            })
+      .flag("--duration-ms", "D", "simulated run duration", &duration_ms, 1)
       .flag("--interference", "T", "busy-loop interference threads",
             &runner_options.interference_threads, 0)
       .flag("--threads", "W", "synthesis session worker threads",
@@ -135,49 +102,26 @@ int main(int argc, char** argv) {
       .flag("--mutate", "KIND",
             "perturb each spec: drop-edge | add-edge | retime-timer | "
             "scale-exec-time | reprioritize",
-            [&mutation](const std::string& value, std::string* error) {
-              const auto parsed = scenario::mutation_kind_from_string(value);
-              if (!parsed.has_value()) {
-                *error = "--mutate expects drop-edge | add-edge | "
-                         "retime-timer | scale-exec-time | reprioritize, "
-                         "got '" + value + "'";
-                return false;
-              }
-              mutation = parsed;
-              return true;
+            "drop-edge | add-edge | retime-timer | scale-exec-time | "
+            "reprioritize",
+            [&mutation](const std::string& value) {
+              mutation = scenario::mutation_kind_from_string(value);
+              return mutation.has_value();
             })
       .flag("--run-index", "N", "resampled run of the identical application",
             &run_index)
       .flag("--probe-cost", "SPEC",
             "simulated tracer overhead: uprobe | usdt | lttng | free or "
             "COST[~JITTER] (e.g. 5us~500ns)",
-            [&runner_options](const std::string& value, std::string* error) {
+            "uprobe | usdt | lttng | free or COST[~JITTER] (e.g. 5us~500ns)",
+            [&runner_options](const std::string& value) {
               const auto profile = overhead::ProbeCostProfile::parse(value);
-              if (!profile.has_value()) {
-                *error = "--probe-cost expects uprobe | usdt | lttng | free "
-                         "or COST[~JITTER] (e.g. 5us~500ns), got '" + value +
-                         "'";
-                return false;
-              }
-              const unsigned keep_sampling =
-                  runner_options.probe_profile.sample_every;
+              if (!profile.has_value()) return false;
               runner_options.probe_profile = *profile;
-              runner_options.probe_profile.sample_every = keep_sampling;
               return true;
             })
       .flag("--sample-every", "K", "trace one in K callback instances",
-            [&runner_options](const std::string& value, std::string* error) {
-              char* end = nullptr;
-              const long k = std::strtol(value.c_str(), &end, 10);
-              if (end == value.c_str() || *end != '\0' || k < 1) {
-                *error = "--sample-every expects a positive integer, got '" +
-                         value + "'";
-                return false;
-              }
-              runner_options.probe_profile.sample_every =
-                  static_cast<unsigned>(k);
-              return true;
-            })
+            &sample_every, 1)
       .flag("--compensate-overhead",
             "estimate and subtract the injected probe cost",
             &runner_options.compensate_overhead)
@@ -205,11 +149,15 @@ int main(int argc, char** argv) {
     case tools::FlagRegistry::Parse::Error: return 2;
     case tools::FlagRegistry::Parse::Ok: break;
   }
-  if (duration_given) {
+  if (duration_ms > 0) {
     generator_options.run_duration = Duration::ms(duration_ms);
   }
+  // Applied after --probe-cost, which keeps the sampling whatever its
+  // order on the command line.
+  runner_options.probe_profile.sample_every =
+      static_cast<unsigned>(sample_every);
   if (!seed_given) {
-    return cli.usage_error(argv[0], "--seed N is required");
+    return cli.usage_error("--seed N is required");
   }
 
   const scenario::ScenarioGenerator generator(generator_options);
@@ -242,7 +190,7 @@ int main(int argc, char** argv) {
       }
 
       if (k == 0 && !json_path.empty()) {
-        write_file(json_path, scenario::spec_to_json(spec));
+        tools::write_file(json_path, scenario::spec_to_json(spec));
       }
 
       const bool validating = validate || run_modes;
@@ -266,7 +214,7 @@ int main(int argc, char** argv) {
         const core::MultiModeDag modes = runner.run_modes(spec);
         report = validator.validate_dag(modes.combined(), truth);
         if (k == 0 && !dot_path.empty()) {
-          write_file(dot_path, core::to_dot(modes.combined()));
+          tools::write_file(dot_path, core::to_dot(modes.combined()));
         }
         if (k == 0 && (!trace_path.empty() || !ttb_path.empty())) {
           std::fprintf(stderr,
@@ -295,7 +243,7 @@ int main(int argc, char** argv) {
                        ttb_path.c_str());
         }
         if (k == 0 && !dot_path.empty()) {
-          write_file(dot_path, core::to_dot(result.model.dag));
+          tools::write_file(dot_path, core::to_dot(result.model.dag));
         }
         if (k == 0 && shards > 0) {
           // Fleet-path cross-check: re-ingest the merged trace through the

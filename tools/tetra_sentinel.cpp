@@ -27,23 +27,15 @@
 // error (unreadable file, synthesis failure).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cli.hpp"
-#include "sentinel/sentinel.hpp"
+#include "sentinel/stream.hpp"
 #include "tool_stats.hpp"
 
 namespace {
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  f << content;
-}
 
 /// The segment files of a --follow argument: the file itself, or the
 /// .jsonl/.ttb files of a directory in name order (the deterministic
@@ -85,7 +77,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   double span_ms = 0.0;
   double advance_ms = 0.0;
-  std::uint64_t refresh_after = 0;
   bool quiet = false;
   tools::StatsOptions stats;
   sentinel::SentinelConfig config;
@@ -107,41 +98,24 @@ int main(int argc, char** argv) {
       .flag("--refresh-after", "K",
             "baseline auto-refresh after K clean-but-shifted windows "
             "(streaming; 0 disables)",
-            &refresh_after)
+            &config.refresh_after)
       .flag("--alpha", "A", "KS significance level per window", &config.alpha)
       .flag("--min-samples", "N",
             "minimum samples per side for a per-window KS finding",
-            [&config](const std::string& value, std::string* error) {
-              char* end = nullptr;
-              const unsigned long long parsed =
-                  std::strtoull(value.c_str(), &end, 10);
-              if (end == value.c_str() || *end != '\0') {
-                *error = "--min-samples expects a non-negative integer, "
-                         "got '" + value + "'";
-                return false;
-              }
-              config.min_samples = static_cast<std::size_t>(parsed);
-              return true;
-            })
+            &config.min_samples)
       .flag("--period-tol", "F", "relative timer-period tolerance",
             &config.period_tolerance)
       .flag("--latency-tol", "F", "relative mean chain-latency tolerance",
             &config.latency_tolerance)
       .flag("--deadline", "TOPICS=MS",
             "per-chain latency deadline, e.g. '/tp0 -> /tp2=12.5'",
-            [&config](const std::string& value, std::string* error) {
+            "'TOPICS=MS' with MS > 0",
+            [&config](const std::string& value) {
               const auto eq = value.rfind('=');
+              double ms = 0.0;
               if (eq == std::string::npos || eq == 0 ||
-                  eq + 1 >= value.size()) {
-                *error = "--deadline expects 'TOPICS=MS', got '" + value + "'";
-                return false;
-              }
-              char* end = nullptr;
-              const std::string ms_text = value.substr(eq + 1);
-              const double ms = std::strtod(ms_text.c_str(), &end);
-              if (end == ms_text.c_str() || *end != '\0' || ms <= 0.0) {
-                *error = "--deadline expects a positive number of ms, got '" +
-                         ms_text + "'";
+                  !tools::parse_number(value.substr(eq + 1), &ms) ||
+                  ms <= 0.0) {
                 return false;
               }
               config.chain_deadlines[value.substr(0, eq)] = Duration::ms_f(ms);
@@ -161,40 +135,35 @@ int main(int argc, char** argv) {
   }
   const bool streaming = !follow_path.empty();
   if (baseline_files.empty()) {
-    return cli.usage_error(argv[0], "at least one --baseline is required");
+    return cli.usage_error("at least one --baseline is required");
   }
   if (streaming && !window_files.empty()) {
-    return cli.usage_error(argv[0],
-                           "--follow and --window are mutually exclusive");
+    return cli.usage_error("--follow and --window are mutually exclusive");
   }
   if (!streaming && window_files.empty()) {
-    return cli.usage_error(
-        argv[0], "at least one --window (or --follow) is required");
+    return cli.usage_error("at least one --window (or --follow) is required");
   }
   if (!streaming && (span_ms > 0.0 || advance_ms > 0.0 || !out_path.empty())) {
-    return cli.usage_error(argv[0],
-                           "--span/--advance/--out only apply to --follow");
+    return cli.usage_error("--span/--advance/--out only apply to --follow");
   }
   if (span_ms > 0.0) config.window_span = Duration::ms_f(span_ms);
   if (advance_ms > 0.0) config.window_advance = Duration::ms_f(advance_ms);
   if (config.window_advance > config.window_span) {
-    return cli.usage_error(argv[0],
-                           "--advance must not exceed --span (windows would "
-                           "skip events)");
+    return cli.usage_error(
+        "--advance must not exceed --span (windows would skip events)");
   }
-  config.refresh_after = static_cast<std::size_t>(refresh_after);
   config.rebase_segments = true;  // directory segments each restart near t=0
 
-  if (streaming) {
-    sentinel::StreamSentinel stream(config);
-    for (const auto& path : baseline_files) {
-      const auto segment = stream.ingest_baseline_file(path);
-      if (!segment.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     segment.error().to_string().c_str());
-        return 3;
-      }
+  sentinel::StreamSentinel sentinel(config);
+  for (const auto& path : baseline_files) {
+    const auto segment = sentinel.ingest_baseline_file(path);
+    if (!segment.ok()) {
+      std::fprintf(stderr, "error: %s\n", segment.error().to_string().c_str());
+      return 3;
     }
+  }
+
+  if (streaming) {
     std::string list_error;
     const std::vector<std::string> segments =
         follow_segments(follow_path, &list_error);
@@ -206,7 +175,7 @@ int main(int argc, char** argv) {
     bool any_alarm = false;
     std::string out_lines;
     for (const auto& segment_path : segments) {
-      const auto verdicts = stream.feed_file(segment_path);
+      const auto verdicts = sentinel.feed_file(segment_path);
       if (!verdicts.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      verdicts.error().to_string().c_str());
@@ -242,7 +211,7 @@ int main(int argc, char** argv) {
     }
     if (!out_path.empty()) {
       try {
-        write_file(out_path, out_lines);
+        tools::write_file(out_path, out_lines);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 3;
@@ -250,15 +219,6 @@ int main(int argc, char** argv) {
     }
     const int stats_rc = tools::emit_stats(stats);
     return any_alarm ? 1 : stats_rc;
-  }
-
-  sentinel::ModelSentinel sentinel(config);
-  for (const auto& path : baseline_files) {
-    const auto segment = sentinel.ingest_baseline_file(path);
-    if (!segment.ok()) {
-      std::fprintf(stderr, "error: %s\n", segment.error().to_string().c_str());
-      return 3;
-    }
   }
 
   bool any_drift = false;
@@ -286,7 +246,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     try {
       if (verdict_jsons.size() == 1) {
-        write_file(json_path, verdict_jsons.front() + "\n");
+        tools::write_file(json_path, verdict_jsons.front() + "\n");
       } else {
         std::string out = "[";
         for (std::size_t i = 0; i < verdict_jsons.size(); ++i) {
@@ -294,7 +254,7 @@ int main(int argc, char** argv) {
           out += verdict_jsons[i];
         }
         out += "]\n";
-        write_file(json_path, out);
+        tools::write_file(json_path, out);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());

@@ -29,56 +29,17 @@
 // synthesis. Either format is accepted as input (.ttb detected by magic),
 // so jsonl -> ttb -> jsonl is an identity.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/chains.hpp"
 #include "api/session.hpp"
+#include "cli.hpp"
 #include "core/export.hpp"
 #include "overhead/profile.hpp"
-#include "support/string_utils.hpp"
 #include "tool_stats.hpp"
 #include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
-
-namespace {
-
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --trace FILE [--trace FILE ...]\n"
-               "          [--merge-dags | --merge-traces] [--threads N]\n"
-               "          [--incremental]\n"
-               "          [--dot FILE] [--json FILE] [--report]\n"
-               "          [--no-service-split] [--no-and-junction]\n"
-               "          [--waiting-times]\n"
-               "          [--compensate-overhead] [--probe-cost DUR]\n"
-               "          [--lenient] [--stats] [--stats-out FILE]\n"
-               "       %s --trace FILE --to-ttb FILE | --to-jsonl FILE\n",
-               argv0, argv0);
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  f << content;
-}
-
-int reject_argument(const char* argv0, const std::string& arg) {
-  if (arg.rfind("--", 0) == 0) {
-    std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "error: unexpected positional argument '%s' (trace files "
-                 "must be passed via --trace FILE)\n",
-                 arg.c_str());
-  }
-  usage(argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tetra;
@@ -91,92 +52,67 @@ int main(int argc, char** argv) {
   bool lenient = false;
   tools::StatsOptions stats;
   api::SynthesisConfig config;
+  int threads = config.threads();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      trace_paths.push_back(next());
-    } else if (arg == "--dot") {
-      dot_path = next();
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--to-ttb") {
-      to_ttb_path = next();
-    } else if (arg == "--to-jsonl") {
-      to_jsonl_path = next();
-    } else if (arg == "--incremental") {
-      config.incremental(true);
-    } else if (arg == "--report") {
-      report = true;
-    } else if (arg == "--merge-traces") {
-      config.merge_strategy(api::MergeStrategy::MergeTraces);
-    } else if (arg == "--merge-dags") {
-      config.merge_strategy(api::MergeStrategy::MergeDags);
-    } else if (arg == "--threads") {
-      const std::string value = next();
-      const int threads = std::atoi(value.c_str());
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      config.threads(threads);
-    } else if (arg == "--no-service-split") {
-      config.split_service_per_caller(false);
-    } else if (arg == "--no-and-junction") {
-      config.model_sync_with_and_junction(false);
-    } else if (arg == "--waiting-times") {
-      config.compute_waiting_times(true);
-    } else if (arg == "--compensate-overhead") {
-      config.compensate_overhead(true);
-    } else if (arg == "--probe-cost") {
-      const std::string value = next();
-      const auto cost = overhead::parse_duration(value);
-      if (!cost.has_value() || *cost < Duration::zero()) {
-        std::fprintf(stderr,
-                     "error: --probe-cost expects a duration like 5us or "
-                     "200ns, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      config.compensate_overhead(true).probe_cost_hint(*cost);
-    } else if (arg == "--lenient") {
-      lenient = true;
-    } else if (arg == "--stats") {
-      stats.summary = true;
-    } else if (arg == "--stats-out") {
-      stats.out_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      return reject_argument(argv[0], arg);
-    }
+  tools::FlagRegistry cli("tetra_synth");
+  cli.flag("--trace", "FILE", "input trace, JSONL or .ttb (repeatable)",
+           &trace_paths)
+      .flag("--merge-dags", "synthesize per trace, merge the DAGs (default)",
+            [&config] { config.merge_strategy(api::MergeStrategy::MergeDags); })
+      .flag("--merge-traces", "merge the event streams, then synthesize",
+            [&config] {
+              config.merge_strategy(api::MergeStrategy::MergeTraces);
+            })
+      .flag("--threads", "N", "synthesis worker threads", &threads, 1)
+      .flag("--incremental", "keep appendable per-trace indexes",
+            [&config] { config.incremental(true); })
+      .flag("--dot", "FILE", "write the model as Graphviz DOT", &dot_path)
+      .flag("--json", "FILE", "write the model as JSON", &json_path)
+      .flag("--report", "print the exec-time table and chains", &report)
+      .flag("--no-service-split", "one vertex per service callback",
+            [&config] { config.split_service_per_caller(false); })
+      .flag("--no-and-junction", "no AND-junction for synchronized inputs",
+            [&config] { config.model_sync_with_and_junction(false); })
+      .flag("--waiting-times", "compute callback waiting times",
+            [&config] { config.compute_waiting_times(true); })
+      .flag("--compensate-overhead", "subtract the estimated probe cost",
+            [&config] { config.compensate_overhead(true); })
+      .flag("--probe-cost", "DUR",
+            "per-probe tracer cost, e.g. 5us (implies compensation)",
+            "a duration like 5us or 200ns",
+            [&config](const std::string& value) {
+              const auto cost = overhead::parse_duration(value);
+              if (!cost.has_value() || *cost < Duration::zero()) return false;
+              config.compensate_overhead(true).probe_cost_hint(*cost);
+              return true;
+            })
+      .flag("--lenient", "skip and count malformed JSONL lines", &lenient)
+      .flag("--to-ttb", "FILE", "convert the one --trace input to .ttb",
+            &to_ttb_path)
+      .flag("--to-jsonl", "FILE", "convert the one --trace input to JSONL",
+            &to_jsonl_path)
+      .flag("--stats", "print the telemetry summary table", &stats.summary)
+      .flag("--stats-out", "FILE", "write the telemetry JSON snapshot",
+            &stats.out_path);
+
+  switch (cli.parse(argc, argv)) {
+    case tools::FlagRegistry::Parse::Help: return 0;
+    case tools::FlagRegistry::Parse::Error: return 2;
+    case tools::FlagRegistry::Parse::Ok: break;
   }
   if (trace_paths.empty()) {
-    std::fprintf(stderr, "error: at least one --trace FILE is required\n");
-    usage(argv[0]);
-    return 2;
+    return cli.usage_error("at least one --trace FILE is required");
   }
+  config.threads(threads);
 
   // Conversion mode: no synthesis, no session — the raw event sequence is
   // read in file order and re-emitted as-is, so converting back and forth
   // reproduces the original file byte-for-byte.
   if (!to_ttb_path.empty() || !to_jsonl_path.empty()) {
     if (trace_paths.size() != 1) {
-      std::fprintf(stderr,
-                   "error: --to-ttb/--to-jsonl convert exactly one --trace "
-                   "input (got %zu)\n",
-                   trace_paths.size());
-      return 2;
+      return cli.usage_error(
+          "--to-ttb/--to-jsonl convert exactly one --trace input (got " +
+          std::to_string(trace_paths.size()) + ")");
     }
     try {
       const std::string& in = trace_paths[0];
@@ -243,11 +179,11 @@ int main(int argc, char** argv) {
                  dag.is_acyclic() ? "yes" : "NO");
 
     if (!dot_path.empty()) {
-      write_file(dot_path, core::to_dot(dag));
+      tools::write_file(dot_path, core::to_dot(dag));
       std::fprintf(stderr, "wrote %s\n", dot_path.c_str());
     }
     if (!json_path.empty()) {
-      write_file(json_path, core::to_json(dag));
+      tools::write_file(json_path, core::to_json(dag));
       std::fprintf(stderr, "wrote %s\n", json_path.c_str());
     }
     if (report || (dot_path.empty() && json_path.empty())) {
